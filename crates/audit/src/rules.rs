@@ -224,11 +224,9 @@ pub const DURATION_ARITH_PREFIXES: &[&str] = &["crates/resilience/", "crates/sup
 /// DP iteration) and where `lossy-cast`'s stricter posture matters most.
 pub const HOT_PATH_PREFIXES: &[&str] = &["crates/core/", "crates/curves/"];
 
-/// Crates excluded from trace-name collection: the collector itself and
-/// the bench harness use synthetic names, and the auditor's own fixtures
-/// would self-trip.
-pub const TRACE_NAME_EXEMPT_PREFIXES: &[&str] =
-    &["crates/trace/", "crates/bench/", "crates/audit/"];
+/// Crates excluded from trace-name collection: the collector itself uses
+/// synthetic names, and the auditor's own fixtures would self-trip.
+pub const TRACE_NAME_EXEMPT_PREFIXES: &[&str] = &["crates/trace/", "crates/audit/"];
 
 /// Whether `path` (workspace-relative, forward slashes) belongs to a DP
 /// hot-path crate.

@@ -10,13 +10,10 @@
 //! | `scaling` | Theorems 2/5/6 — runtime/memory scaling (E4) |
 //! | `ablation` | candidate-set / initial-order / bubbling ablations (E5, E7) |
 //! | `convergence` | Theorem 7 / loop counts (E6) |
-//! | `baseline` | perf baseline: median wall times + trace counters (`BENCH_pr5.json`) |
-//! | `prune_ab` | same-binary A/B/C: `Curve::prune` tracing-dispatch cost isolation |
 //!
-//! Criterion micro-benchmarks (`cargo bench -p merlin-bench`) cover the
-//! curve operators, `PTREE`, `BUBBLE_CONSTRUCT`, the full flows on
-//! small fixed instances, and the `merlin-trace` collector overhead.
-//! `scripts/bench.sh` drives the `baseline` binary.
+//! These regenerate the paper's tables; they are not the performance
+//! benchmark. Performance is measured end to end and per layer by the
+//! one command in `BENCHMARK.json` (`perfbench/`, see its README).
 
 use std::time::Instant;
 

@@ -119,30 +119,6 @@ impl Default for PrunePolicy {
     }
 }
 
-/// Forcing the legacy `BTreeMap` sweep at runtime (oracle builds only).
-///
-/// The A/B harness (`merlin-bench`'s `prune_ab`, via the `legacy-sweep`
-/// feature) flips this to run *whole solves* against the reference sweep
-/// inside one binary; the differential tests use it to cross-check the
-/// indexed staircase. Production builds compile none of this.
-#[cfg(any(test, feature = "legacy-sweep"))]
-pub mod legacy {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static FORCE: AtomicBool = AtomicBool::new(false);
-
-    /// Routes every subsequent [`super::Curve::prune`] in this process
-    /// through the legacy sweep until turned off again.
-    pub fn force_legacy_sweep(on: bool) {
-        FORCE.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the legacy sweep is forced on.
-    pub fn forced() -> bool {
-        FORCE.load(Ordering::Relaxed)
-    }
-}
-
 /// A set of mutually non-inferior `(load, req, area)` solutions.
 ///
 /// A curve owns its points and keeps them sorted by increasing load after
@@ -278,12 +254,6 @@ impl Curve {
             return;
         }
         self.pts.sort_unstable_by(cmp_total);
-        #[cfg(any(test, feature = "legacy-sweep"))]
-        if legacy::forced() {
-            self.sweep_legacy();
-            self.debug_check_noninferior("prune");
-            return;
-        }
         // The instrumented sweep is a physically separate copy of the loop
         // (not a `traced` flag threaded through the hot one): prune is the
         // hottest function in the workspace, and keeping even a
@@ -364,48 +334,6 @@ impl Curve {
         merlin_trace::counter("curves.prune.index.stale", stale_corners);
         merlin_trace::observe("curves.prune.index.peak", peak_corners as u64);
         merlin_trace::observe("curves.prune.size", w as u64);
-    }
-
-    /// The pre-index `BTreeMap` staircase sweep, kept verbatim as the
-    /// differential-testing oracle: [`Curve::prune`] must keep identical
-    /// points in identical order. Compiled for tests and the
-    /// `legacy-sweep` feature only.
-    #[cfg(any(test, feature = "legacy-sweep"))]
-    fn sweep_legacy(&mut self) {
-        let mut stair: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
-        let mut out = Vec::with_capacity(self.pts.len());
-        for p in self.pts.drain(..) {
-            let dominated = stair
-                .range(..=p.area)
-                .next_back()
-                .is_some_and(|(_, &r)| r >= p.req);
-            if dominated {
-                continue;
-            }
-            let stale: Vec<u64> = stair
-                .range(p.area..)
-                .take_while(|(_, &r)| r <= p.req)
-                .map(|(&a, _)| a)
-                .collect();
-            for a in stale {
-                stair.remove(&a);
-            }
-            stair.insert(p.area, p.req);
-            out.push(p);
-        }
-        self.pts = out;
-    }
-
-    /// Sorts and prunes through the legacy sweep regardless of the
-    /// [`legacy`] process-wide switch — the curve-level oracle entry
-    /// point for differential tests and the A/B harness.
-    #[cfg(any(test, feature = "legacy-sweep"))]
-    pub fn prune_legacy(&mut self) {
-        if self.pts.len() <= 1 {
-            return;
-        }
-        self.pts.sort_unstable_by(cmp_total);
-        self.sweep_legacy();
     }
 
     /// Applies a [`PrunePolicy`] to an already-pruned curve: re-runs the
@@ -907,63 +835,6 @@ mod tests {
         a.absorb(b);
         assert_eq!(a.len(), 1);
         assert_eq!(a.points()[0].req, 120.0);
-    }
-
-    /// Points and order must be *identical* between the indexed staircase
-    /// and the legacy BTreeMap sweep — provenance included.
-    fn assert_identical(a: &Curve, b: &Curve) {
-        let key = |c: &Curve| {
-            c.iter()
-                .map(|p| (p.load.units(), p.area, p.req.to_bits(), p.prov.index()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(a), key(b));
-    }
-
-    #[test]
-    fn indexed_sweep_matches_legacy_sweep_randomized() {
-        let mut state = 0x9e3779b9u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for round in 0..200 {
-            let n = (next() % 120) as usize;
-            // Small value ranges force heavy collisions, including exact
-            // duplicates and load-quantization-style load ties.
-            let pts: Vec<CurvePoint> = (0..n)
-                .map(|i| {
-                    CurvePoint::new(
-                        (next() % 12) as u32,
-                        (next() % 12) as f64,
-                        next() % 12,
-                        pid(i as u32),
-                    )
-                })
-                .collect();
-            let mut fast = Curve::new();
-            let mut slow = Curve::new();
-            for p in &pts {
-                fast.push(*p);
-                slow.push(*p);
-            }
-            fast.prune();
-            slow.prune_legacy();
-            assert_identical(&fast, &slow);
-            // And through the process-wide oracle switch, which exercises
-            // the `prune()` entry itself.
-            let mut forced = Curve::new();
-            for p in &pts {
-                forced.push(*p);
-            }
-            legacy::force_legacy_sweep(true);
-            forced.prune();
-            legacy::force_legacy_sweep(false);
-            assert_identical(&fast, &forced);
-            assert!(fast.is_pruned(), "round {round}");
-        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn keys(pts: &[CurvePoint]) -> Vec<(u32, u64, u64, usize)> {
 /// sort (load, area, req desc, provenance) followed by the original
 /// BTreeMap staircase sweep with keep-first tie semantics. Written from
 /// the spec, not shared with the library, so it can serve as the oracle
-/// for the indexed sweep.
+/// for the indexed sweep; it is the only copy of the pre-index sweep.
 fn oracle_prune(c: &Curve) -> Vec<CurvePoint> {
     use std::collections::BTreeMap;
     let mut pts: Vec<CurvePoint> = c.points().to_vec();
@@ -58,6 +58,94 @@ fn oracle_prune(c: &Curve) -> Vec<CurvePoint> {
         out.push(p);
     }
     out
+}
+
+/// A xorshift64 stream: cheap, seedable, and identical on every platform,
+/// so the fixed oracle inputs below never drift.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// An unpruned curve of `point(0)`, …, `point(n - 1)`, in that order.
+fn curve_of(n: u32, mut point: impl FnMut(u32) -> CurvePoint) -> Curve {
+    let mut c = Curve::new();
+    for i in 0..n {
+        c.push(point(i));
+    }
+    c
+}
+
+/// Asserts the indexed prune keeps exactly the oracle's points, in the
+/// oracle's order, with the oracle's provenance.
+fn assert_matches_oracle(c: &Curve, what: &str) {
+    let expect = keys(&oracle_prune(c));
+    let mut pruned = c.clone();
+    pruned.prune();
+    assert_eq!(
+        keys(pruned.points()),
+        expect,
+        "{what}: indexed prune diverged from the oracle"
+    );
+    assert!(pruned.is_pruned(), "{what}");
+}
+
+#[test]
+fn indexed_prune_matches_the_oracle_on_the_sized_and_tie_heavy_pool() {
+    // DP-shaped size mix: wide value domains, 8 to 2048 points.
+    for (i, n) in [8u32, 16, 24, 32, 48, 64, 96, 128, 256, 2048]
+        .into_iter()
+        .enumerate()
+    {
+        let mut next = xorshift((7 + i as u64) | 1);
+        let c = curve_of(n, |p| {
+            CurvePoint::new(
+                (next() % 4000) as u32,
+                (next() % 100_000) as f64 / 10.0,
+                next() % 40_000,
+                ProvId::new(p),
+            )
+        });
+        assert_matches_oracle(&c, &format!("sized curve {i} ({n} points)"));
+    }
+    // Tie-heavy: tiny value domains force duplicate triples and
+    // equal-key collisions, where keep-first order decides provenance.
+    for i in 0..12u64 {
+        let mut next = xorshift((101 + i) | 1);
+        let c = curve_of(64, |p| {
+            CurvePoint::new(
+                (next() % 6) as u32 * 10,
+                (next() % 8) as f64 * 0.5,
+                next() % 5,
+                ProvId::new(p),
+            )
+        });
+        assert_matches_oracle(&c, &format!("tie-heavy curve {i}"));
+    }
+}
+
+#[test]
+fn indexed_prune_matches_the_oracle_over_a_twelve_value_domain() {
+    // Up to 120 points whose load, req and area each take one of 12
+    // values: exact duplicates and load ties on almost every curve.
+    let mut next = xorshift(0x9e37_79b9);
+    for round in 0..200 {
+        let n = (next() % 120) as u32;
+        let c = curve_of(n, |p| {
+            CurvePoint::new(
+                (next() % 12) as u32,
+                (next() % 12) as f64,
+                next() % 12,
+                ProvId::new(p),
+            )
+        });
+        assert_matches_oracle(&c, &format!("round {round}"));
+    }
 }
 
 fn curve_from(points: &[RawPoint]) -> Curve {

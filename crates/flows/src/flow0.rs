@@ -4,8 +4,8 @@
 //!
 //! This is the pre-performance-driven-routing convention the paper's §II
 //! context ([CHKM96]) argues against: minimum wirelength is not minimum
-//! delay. Comparing Flow 0 against Flows II/III in the benches makes the
-//! gap concrete.
+//! delay. Comparing Flow 0 against Flows II/III (the `critical_net`
+//! example runs all four) makes the gap concrete.
 
 use std::time::Instant;
 

@@ -6,7 +6,8 @@
 //! the Hanan point with the largest wirelength gain. MERLIN's evaluation
 //! context (§II, [CHKM96]) is exactly the observation that such
 //! wirelength-driven trees are *not* delay-optimal; the extra Flow 0
-//! baseline built on these makes that visible in the benches.
+//! baseline built on these makes that visible (see the `critical_net`
+//! example).
 
 use crate::hanan::HananGrid;
 use crate::point::{manhattan, Point};

@@ -125,7 +125,9 @@ pub fn solve_to_record(
                     cause: RecordStatus::FailedDegraded,
                     accept_tier: cfg.accept_tier,
                     max_attempts: cfg.retry.max_attempts,
-                    budget_ms: cfg.budget_ms,
+                    // The budget the attempts ran under, request override
+                    // included, so a replay reproduces the same limits.
+                    budget_ms,
                     work_limit: cfg.work_limit,
                     watchdog_ms: None,
                     chaos: cfg.fault.clone(),
@@ -218,16 +220,19 @@ mod tests {
     fn degraded_net_exhausts_attempts_and_reports_failure() {
         let tech = Technology::synthetic_035();
         let net = random_net("exec2", 4, 13, &tech);
+        let dir = std::env::temp_dir().join(format!("merlin-exec-test-{}", std::process::id()));
         // Demand more than any tier can deliver: accept only MERLIN but
         // enter the ladder below it, so every attempt is a degraded serve.
         let cfg = BatchConfig {
-            artifacts_dir: None,
+            artifacts_dir: Some(dir.clone()),
             accept_tier: ServingTier::Merlin,
             ..BatchConfig::default()
         };
+        // A request-scoped budget (a client deadline), generous enough
+        // that no attempt runs out of it.
         let opts = ExecOptions {
             entry_floor: Some(ServingTier::LttreePtree),
-            budget_ms: None,
+            budget_ms: Some(600_000),
         };
         let mut backoffs = 0u32;
         let out = solve_to_record(&net, &tech, &cfg, 3, &opts, &mut |_| backoffs += 1);
@@ -235,5 +240,12 @@ mod tests {
         assert_eq!(out.record.attempts, cfg.retry.max_attempts);
         assert_eq!(backoffs, cfg.retry.max_attempts - 1);
         assert_eq!(out.record.hash, 0);
+        // The repro carries the budget the attempts ran under, not the
+        // (unlimited) config default.
+        let text = std::fs::read_to_string(dir.join("3-exec2.repro")).expect("artifact written");
+        let repro = artifact::parse_repro(&text).expect("artifact parses");
+        assert_eq!(repro.budget_ms, Some(600_000));
+        assert_eq!(cfg.budget_ms, None);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,7 +14,7 @@
 //! - **One load when dormant.** Every publish method starts with a single
 //!   relaxed load of a process-global [`AtomicBool`] and returns if no
 //!   exporter has called [`set_active`]. A binary that never activates the
-//!   registry (the batch CLI, the benches) pays one predictable branch per
+//!   registry (the batch CLI, for example) pays one predictable branch per
 //!   call site, mirroring the tracer's `ENABLED_THREADS` fast path.
 //! - **Sharded counters.** Counter and histogram tallies are split across
 //!   [`SHARDS`] cache-line-padded atomics; each thread is assigned a shard

@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES="fmt clippy audit tests release-tests chaos supervisor-chaos proc-chaos trace parallel prune-ab server-chaos telemetry"
+STAGES="fmt clippy audit tests release-tests chaos supervisor-chaos proc-chaos trace parallel server-chaos telemetry"
 
 FIX=0
 ONLY=()
@@ -288,35 +288,18 @@ EOF
   done
 }
 
-stage_prune_ab() {
-  echo "== prune-ab (indexed vs legacy sweep: byte identity + non-regression) =="
-  # Same-binary differential gate for the indexed prune staircase: the
-  # legacy BTreeMap sweep is compiled in via the bench crate's
-  # legacy-sweep feature and toggled process-wide, so curve-level output,
-  # whole-solve fingerprints (threads 1/2/4), and interleaved timings are
-  # all compared inside one process. Exit 1 = a gate failed; exit 2 =
-  # built without the feature (a wiring bug in this script).
-  cargo run -q --release -p merlin-bench --features legacy-sweep \
-    --bin prune_ab || {
-    echo "prune-ab: the A/B gate failed (see above)" >&2
-    exit 1
-  }
-}
-
 stage_server_chaos() {
-  echo "== server-chaos (SIGKILL + restart recovery, typed shedding, latency) =="
+  echo "== server-chaos (SIGKILL + restart recovery, typed shedding) =="
   cargo build -q --release --bin merlin_cli
   cargo build -q --features fault-inject --bin merlin_cli
   # Reference first: an uninterrupted daemon serving a 100-net stream in
-  # wait mode. Its report is the byte-compare target, and the per-submit
-  # round-trip latencies become the BENCH_pr8.json snapshot
-  # (n, p50_ms, p99_ms).
+  # wait mode. Its report is the byte-compare target.
   SRVREF="$SUPTMP/srv-ref"
   target/release/merlin_cli serve --data-dir "$SRVREF" --capacity 128 --jobs 2 &
   SRV_PID=$!
   for _ in $(seq 1 100); do [ -f "$SRVREF/server.addr" ] && break; sleep 0.1; done
   target/release/merlin_cli submit --gen 100 --sinks 4 --seed 7 \
-    --data-dir "$SRVREF" --latency-json BENCH_pr8.json > /dev/null
+    --data-dir "$SRVREF" > /dev/null
   target/release/merlin_cli status --data-dir "$SRVREF" \
     --report "$SUPTMP/srv-ref.txt"
   target/release/merlin_cli status --data-dir "$SRVREF" --drain > /dev/null
@@ -536,7 +519,6 @@ run_stage() {
     proc-chaos) stage_proc_chaos ;;
     trace) stage_trace ;;
     parallel) stage_parallel ;;
-    prune-ab) stage_prune_ab ;;
     server-chaos) stage_server_chaos ;;
     telemetry) stage_telemetry ;;
     *)

@@ -173,8 +173,6 @@ submit flags:
                        against it (none)
   --no-wait            fire-and-forget: print the admission response and
                        move on instead of waiting for the terminal state
-  --latency-json PATH  write {n, p50_ms, p99_ms} submit-to-result
-                       latency percentiles (wait mode only)
   --connect-timeout-ms retry connecting this long, e.g. across a server
                        restart's recovery window (30000)
 
@@ -1109,7 +1107,6 @@ fn cmd_submit(mut args: Args) -> ExitCode {
     let mut start_id = 0u64;
     let mut deadline_ms: Option<u64> = None;
     let mut wait = true;
-    let mut latency_json: Option<PathBuf> = None;
     let mut connect_timeout = Duration::from_millis(30_000);
     while let Some(arg) = args.next() {
         let parsed: Result<(), String> = match arg.as_str() {
@@ -1124,9 +1121,6 @@ fn cmd_submit(mut args: Args) -> ExitCode {
                 wait = false;
                 Ok(())
             }
-            "--latency-json" => args
-                .value_for("--latency-json")
-                .map(|v| latency_json = Some(v.into())),
             "--connect-timeout-ms" => args
                 .parsed("--connect-timeout-ms")
                 .map(|v: u64| connect_timeout = Duration::from_millis(v)),
@@ -1152,7 +1146,6 @@ fn cmd_submit(mut args: Args) -> ExitCode {
         Ok(c) => c,
         Err(e) => return fail(format!("cannot connect to {addr}: {e}")),
     };
-    let mut latencies_ms: Vec<u64> = Vec::new();
     let mut terminal = 0usize;
     let mut accepted = 0usize;
     let mut rejected = 0usize;
@@ -1176,9 +1169,6 @@ fn cmd_submit(mut args: Args) -> ExitCode {
         match kind {
             "done" => {
                 terminal += 1;
-                if wait {
-                    latencies_ms.push(elapsed_ms);
-                }
                 let (status, tier) = response
                     .get("record")
                     .map(|r| {
@@ -1223,27 +1213,6 @@ fn cmd_submit(mut args: Args) -> ExitCode {
         "submit: {} jobs, {terminal} terminal, {accepted} accepted, {rejected} rejected",
         nets.len()
     );
-    if let Some(path) = latency_json {
-        latencies_ms.sort_unstable();
-        let pick = |q: f64| -> u64 {
-            if latencies_ms.is_empty() {
-                return 0;
-            }
-            // Nearest-rank percentile over the sorted sample.
-            let rank =
-                ((q * latencies_ms.len() as f64).ceil() as usize).clamp(1, latencies_ms.len());
-            latencies_ms[rank - 1]
-        };
-        let body = format!(
-            "{{\"n\": {}, \"p50_ms\": {}, \"p99_ms\": {}}}\n",
-            latencies_ms.len(),
-            pick(0.50),
-            pick(0.99)
-        );
-        if let Err(e) = std::fs::write(&path, body) {
-            return fail(format!("cannot write {}: {e}", path.display()));
-        }
-    }
     if rejected == 0 {
         ExitCode::SUCCESS
     } else {
