@@ -25,7 +25,9 @@ use crate::chi::{Shape, Window, ALL_SHAPES};
 use crate::children::{child_sequence, child_sequence_multi, Child};
 use crate::config::{Constraint, MerlinConfig};
 use crate::extract::{extract_tree, Step};
-use crate::star_ptree::{range_curves, Gamma, SinkView, StarCache, StarCtx};
+use crate::star_ptree::{
+    range_curves, shifted_sources, Champions, Gamma, SinkView, StarCache, StarCtx,
+};
 
 /// Resolves the [`MerlinConfig::threads`] knob: `0` = one worker per
 /// available core, otherwise the explicit count, clamped to 64 so a typo
@@ -553,43 +555,24 @@ impl<'a> BubbleConstruct<'a> {
         let mut curve = top[src_idx].clone();
         {
             let mut pending: Vec<Step> = Vec::new();
-            let mut additions = Curve::new();
+            let mut skipped = 0u64;
             // Extensions dominated by the source-rooted curve (or by an
             // earlier kept extension) cannot survive the absorb below.
             // Seeding from the absorb target is sound here because nothing
             // transforms the additions between their prune and the absorb,
             // and the target's points carry older arena provenance so they
             // win exact ties either way.
-            let mut champs = crate::star_ptree::Champions::seeded(&curve);
-            let mut skipped = 0u64;
-            for (qi, c) in top.iter().enumerate() {
-                if qi == src_idx || c.is_empty() {
-                    continue;
-                }
-                let len = manhattan(self.net.source, candidates[qi]);
-                let wc = self.tech.wire.wire_cap(len);
-                for a in c.iter() {
-                    let cand = CurvePoint {
-                        load: a.load + wc,
-                        req: a.req - self.tech.wire.elmore_ps(len, a.load),
-                        area: a.area,
-                        prov: ProvId::new(pending.len() as u32),
-                    };
-                    if champs.dominates(&cand) {
-                        skipped += 1;
-                        continue;
-                    }
-                    champs.keep(&cand);
-                    pending.push(Step::Extend {
-                        to: src_idx as u16,
-                        child: a.prov,
-                    });
-                    additions.push(cand);
-                }
-            }
-            additions.prune();
+            let mut additions = shifted_sources(
+                &ctx,
+                &top,
+                0..top.len(),
+                src_idx,
+                Champions::seeded(&curve),
+                &mut pending,
+                &mut skipped,
+            );
             additions.reduce(ctx.policy);
-            crate::star_ptree::finalize(&mut additions, &pending, &mut arena);
+            additions.finalize(&pending, &mut arena);
             curve.absorb(additions);
             curve.reduce(ctx.policy);
             if skipped > 0 && traced {

@@ -17,8 +17,17 @@
 //!
 //! **Lemma 7 (sub-problem sharing)** is implemented by [`StarCache`]: curve
 //! families are memoized by the *content* of the child subsequence, so a
-//! sub-problem shared by any number of grouping configurations — within a
-//! level or across neighborhood members — is solved exactly once.
+//! sub-problem shared by any number of grouping configurations is solved
+//! exactly once within one `BUBBLE_CONSTRUCT` pass — across its levels and
+//! its windows, and so across the members of the neighborhood that pass
+//! covers. Sharing stops at the pass: each MERLIN iteration builds a fresh
+//! cache, and a group child names window positions, so nothing carries
+//! over to the next order.
+//!
+//! The root-buffer options come from [`Curve::with_buffer_options`], which
+//! builds one staircase per buffer and merges them instead of sorting all
+//! `s × b` raw options; relocation merges its wire-shifted source curves
+//! the same way ([`shifted_sources`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,10 +45,10 @@ use crate::extract::Step;
 ///
 /// [`Champions::dominates`] is a sufficient (never necessary) Definition-6
 /// test — predictive pruning in the Li & Shi sense: anything it rejects
-/// would be killed by [`Curve::prune`] anyway, so provably-doomed
+/// would be killed by the prune sweep anyway, so provably-doomed
 /// candidates are skipped before they enter a raw curve or allocate a
 /// pending provenance step. Because pending ids stay in generation order
-/// and the prune sort is a total order with a provenance tie-break, the
+/// and the prune order is a total order with a provenance tie-break, the
 /// pruned curve is byte-identical with the filter on or off.
 #[derive(Debug, Default)]
 pub(crate) struct Champions {
@@ -301,7 +310,7 @@ fn compute_range(
                 raw.prune();
                 raw.reduce(ctx.policy);
                 raw.thin_to(ctx.max_pts);
-                finalize(&mut raw, &pending, arena);
+                raw.finalize(&pending, arena);
                 m.push(raw);
             }
             if traced {
@@ -326,15 +335,6 @@ fn compute_range(
         let mut skipped = 0u64;
         for (pi, c) in m.iter_mut().enumerate() {
             pending.clear();
-            let mut additions = Curve::new();
-            // Champions only over the additions themselves: `additions`
-            // is buffered *after* its prune, and a wire extension that a
-            // point of `c` dominates can still contribute a surviving
-            // buffered variant — filtering against `c` here would not be
-            // byte-identical. (Within `additions`, domination survives
-            // the buffer transform, so the filter is exact.)
-            let mut champs = Champions::default();
-            let p = ctx.cands[pi];
             let all: Vec<u16>;
             let sources: &[u16] = if ctx.neighbors.is_empty() || ctx.neighbors[pi].is_empty() {
                 all = (0..snapshot.len() as u16).collect();
@@ -342,37 +342,24 @@ fn compute_range(
             } else {
                 &ctx.neighbors[pi]
             };
-            for &qi in sources {
-                let qi = qi as usize;
-                let src = &snapshot[qi];
-                if qi == pi || src.is_empty() {
-                    continue;
-                }
-                let len = manhattan(p, ctx.cands[qi]);
-                let wc = ctx.tech.wire.wire_cap(len);
-                for a in src.iter() {
-                    let cand = CurvePoint {
-                        load: a.load + wc,
-                        req: a.req - ctx.tech.wire.elmore_ps(len, a.load),
-                        area: a.area,
-                        prov: ProvId::new(pending.len() as u32),
-                    };
-                    if champs.dominates(&cand) {
-                        skipped += 1;
-                        continue;
-                    }
-                    champs.keep(&cand);
-                    pending.push(Step::Extend {
-                        to: pi as u16,
-                        child: a.prov,
-                    });
-                    additions.push(cand);
-                }
-            }
-            additions.prune();
+            // Champions only over the additions themselves: `additions`
+            // is buffered *after* its prune, and a wire extension that a
+            // point of `c` dominates can still contribute a surviving
+            // buffered variant — filtering against `c` here would not be
+            // byte-identical. (Within `additions`, domination survives
+            // the buffer transform, so the filter is exact.)
+            let mut additions = shifted_sources(
+                ctx,
+                &snapshot,
+                sources.iter().map(|&q| usize::from(q)),
+                pi,
+                Champions::default(),
+                &mut pending,
+                &mut skipped,
+            );
             additions.reduce(ctx.policy);
             additions.thin_to(ctx.max_pts);
-            finalize(&mut additions, &pending, arena);
+            additions.finalize(&pending, arena);
             let additions = buffered(ctx, &additions, arena);
             c.absorb(additions);
             c.reduce(ctx.policy);
@@ -421,76 +408,71 @@ fn base_curves(
 }
 
 /// Adds buffer options (selected library subset) at the curve's root;
-/// keeps the unbuffered originals. Provenance goes through the
-/// pending/finalize path so dominated options never allocate arena steps.
+/// keeps the unbuffered originals. Only options that survive the union
+/// with the originals allocate arena steps.
 fn buffered(ctx: &StarCtx<'_>, curve: &Curve, arena: &mut ProvArena<Step>) -> Curve {
-    if curve.is_empty() {
-        return curve.clone();
-    }
-    let mut pending: Vec<Step> = Vec::new();
-    let mut additions = Curve::new();
-    // Buffer options land directly in `absorb` below with no transform in
-    // between, so they compete against the unbuffered originals too: seed
-    // the predictive filter with them. A skipped option would lose either
-    // its own prune or the absorb (where the original, carrying the older
-    // arena provenance, wins exact ties) — byte-identical either way, but
-    // the doomed option no longer allocates a pending or arena step.
-    let mut champs = Champions::seeded(curve);
-    let mut skipped = 0u64;
-    for &bi in ctx.lib_sel {
-        let buf = &ctx.tech.library[bi as usize];
-        for p in curve.iter() {
-            if ctx.enforce_max_load && p.load > buf.max_load {
-                continue;
-            }
-            let cand = CurvePoint::with_load(
-                buf.cin,
-                p.req - buf.delay_linear_ps(p.load),
-                p.area + buf.area,
-                ProvId::new(pending.len() as u32),
-            );
+    curve.with_buffer_options(
+        &ctx.tech.library,
+        ctx.lib_sel,
+        ctx.enforce_max_load,
+        ctx.policy,
+        |buf, child| arena.push(Step::Buffer { buf, child }),
+    )
+}
+
+/// Every point of each source curve `curves[q]`, `q` in `sources`, driven
+/// over a wire from candidate `to` (sources that are `to` itself or empty
+/// are skipped), as one pruned curve. Its points carry indices into
+/// `pending`, where each gets its `Step::Extend`. `champs` skips
+/// candidates that an already-kept one dominates, adding them to
+/// `skipped`.
+///
+/// A wire shift keeps a pruned curve in prune order: every load grows by
+/// the same wire cap, areas do not change, and points of equal load lose
+/// equal req. So each source is one sorted run, and the runs are merged
+/// ([`Curve::from_sorted_runs`]) instead of sorted. (The shift does not
+/// keep the run pruned: a heavier point loses more req.)
+pub(crate) fn shifted_sources(
+    ctx: &StarCtx<'_>,
+    curves: &[Curve],
+    sources: impl IntoIterator<Item = usize>,
+    to: usize,
+    mut champs: Champions,
+    pending: &mut Vec<Step>,
+    skipped: &mut u64,
+) -> Curve {
+    let p = ctx.cands[to];
+    let to16 = u16::try_from(to).expect("candidate indices fit u16");
+    let mut raw: Vec<CurvePoint> = Vec::new();
+    let mut ends: Vec<usize> = Vec::new();
+    for qi in sources {
+        let src = &curves[qi];
+        if qi == to || src.is_empty() {
+            continue;
+        }
+        let len = manhattan(p, ctx.cands[qi]);
+        let wc = ctx.tech.wire.wire_cap(len);
+        for a in src.iter() {
+            let cand = CurvePoint {
+                load: a.load + wc,
+                req: a.req - ctx.tech.wire.elmore_ps(len, a.load),
+                area: a.area,
+                prov: ProvId::new(pending.len() as u32),
+            };
             if champs.dominates(&cand) {
-                skipped += 1;
+                *skipped += 1;
                 continue;
             }
             champs.keep(&cand);
-            pending.push(Step::Buffer {
-                buf: bi,
-                child: p.prov,
+            pending.push(Step::Extend {
+                to: to16,
+                child: a.prov,
             });
-            additions.push(cand);
+            raw.push(cand);
         }
+        ends.push(raw.len());
     }
-    additions.prune();
-    additions.reduce(ctx.policy);
-    finalize(&mut additions, &pending, arena);
-    let mut out = curve.clone();
-    out.absorb(additions);
-    out.reduce(ctx.policy);
-    if skipped > 0 && merlin_trace::is_enabled() {
-        merlin_trace::counter("curves.prune.predictive.buffer", skipped);
-    }
-    out
-}
-
-/// Re-homes pending provenance into the real arena (only survivors of
-/// pruning allocate steps).
-pub(crate) fn finalize(curve: &mut Curve, pending: &[Step], arena: &mut ProvArena<Step>) {
-    let pts: Vec<CurvePoint> = curve
-        .iter()
-        .map(|p| {
-            let mut q = *p;
-            q.prov = arena.push(pending[p.prov.index()]);
-            q
-        })
-        .collect();
-    let mut c = Curve::with_capacity(pts.len());
-    for p in pts {
-        c.push(p);
-    }
-    // Already mutually non-inferior; re-prune cheaply to restore ordering.
-    c.prune();
-    *curve = c;
+    Curve::from_sorted_runs(&raw, &ends)
 }
 
 #[cfg(test)]

@@ -1,10 +1,22 @@
 //! Non-inferior solution curves and the DP operators over them.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
 use merlin_tech::units::{ps_cmp, Cap, PsTime};
 use merlin_tech::{BufferLibrary, WireModel};
 
-use crate::arena::ProvId;
+use crate::arena::{ProvArena, ProvId};
 use crate::point::CurvePoint;
+
+/// The value part of the prune order: `(load, area, −req)`.
+#[inline]
+fn cmp_key(a: &CurvePoint, b: &CurvePoint) -> Ordering {
+    a.load
+        .cmp(&b.load)
+        .then_with(|| a.area.cmp(&b.area))
+        .then_with(|| ps_cmp(b.req, a.req))
+}
 
 /// The total order [`Curve::prune`] sorts by: `(load, area, −req, prov)`.
 ///
@@ -15,12 +27,87 @@ use crate::point::CurvePoint;
 /// generation filters in `merlin-core` legitimately shrink that set. With
 /// a total order the pruned curve is a function of the point set alone.
 #[inline]
-fn cmp_total(a: &CurvePoint, b: &CurvePoint) -> std::cmp::Ordering {
-    a.load
-        .cmp(&b.load)
-        .then_with(|| a.area.cmp(&b.area))
-        .then_with(|| ps_cmp(b.req, a.req))
-        .then_with(|| a.prov.index().cmp(&b.prov.index()))
+fn cmp_total(a: &CurvePoint, b: &CurvePoint) -> Ordering {
+    cmp_key(a, b).then_with(|| a.prov.index().cmp(&b.prov.index()))
+}
+
+/// Whether `pts` is in prune order (sorted under [`cmp_total`]), the
+/// order every merge below relies on.
+fn in_prune_order(pts: &[CurvePoint]) -> bool {
+    pts.is_sorted_by(|a, b| cmp_total(a, b) != Ordering::Greater)
+}
+
+/// Feeds the points of `a` and `b`, each already sorted under `cmp`, to
+/// `f` as one sorted sequence; `f` also learns whether a point came from
+/// `b`. On ties `a` goes first.
+#[inline(always)]
+fn merge2(
+    a: &[CurvePoint],
+    b: &[CurvePoint],
+    cmp: impl Fn(&CurvePoint, &CurvePoint) -> Ordering,
+    mut f: impl FnMut(CurvePoint, bool),
+) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if cmp(&a[i], &b[j]) == Ordering::Greater {
+            f(b[j], true);
+            j += 1;
+        } else {
+            f(a[i], false);
+            i += 1;
+        }
+    }
+    a[i..].iter().for_each(|&p| f(p, false));
+    b[j..].iter().for_each(|&p| f(p, true));
+}
+
+/// One Definition-6 sweep step over points arriving in prune order: `p`
+/// is inferior iff the floor corner at its area already reaches its req
+/// (that corner's load and area are at or below the point's, by the sweep
+/// order); otherwise it is accepted. Acceptance is final: no later point
+/// can dominate an earlier one.
+#[inline(always)]
+fn admit(stair: &mut Stair<()>, p: &CurvePoint) -> bool {
+    if stair.floor(p.area).is_some_and(|(_, r, ())| r >= p.req) {
+        return false;
+    }
+    stair.accept(p.area, p.req, ());
+    true
+}
+
+/// Publishes one Definition-6 sweep to the trace: `input` points entered
+/// it and `kept` survived.
+#[inline]
+fn note_sweep(input: usize, kept: usize) {
+    if merlin_trace::is_enabled() {
+        merlin_trace::counter("curves.prune.calls", 1);
+        merlin_trace::counter("curves.prune.in", input as u64);
+        merlin_trace::counter("curves.pruned", input.saturating_sub(kept) as u64);
+    }
+}
+
+/// Merges `a` and `b` (each sorted under `cmp`; ties take `a` first)
+/// through one Definition-6 sweep. `keep(point, from_b)` sees each
+/// survivor in order and returns the point to store.
+fn merge_sweep(
+    a: &[CurvePoint],
+    b: &[CurvePoint],
+    cmp: impl Fn(&CurvePoint, &CurvePoint) -> Ordering,
+    mut keep: impl FnMut(CurvePoint, bool) -> CurvePoint,
+) -> Vec<CurvePoint> {
+    if crate::fault::trip("curves.prune") {
+        return Vec::new();
+    }
+    let input = a.len() + b.len();
+    let mut stair: Stair<()> = Stair::new();
+    let mut out = Vec::with_capacity(input);
+    merge2(a, b, cmp, |p, from_b| {
+        if admit(&mut stair, &p) {
+            out.push(keep(p, from_b));
+        }
+    });
+    note_sweep(input, out.len());
+    out
 }
 
 /// The indexed (area → best req) staircase behind the Definition-6 sweep.
@@ -55,28 +142,22 @@ impl<V: Copy> Stair<V> {
 
     /// Records an accepted point, retiring the corners it strictly
     /// improves on (area `>= area` with req `<= req` — one contiguous run,
-    /// by the invariant). Returns how many corners were retired.
+    /// by the invariant).
     #[inline]
-    fn accept(&mut self, area: u64, req: f64, v: V) -> usize {
+    fn accept(&mut self, area: u64, req: f64, v: V) {
         let lo = self.corners.partition_point(|c| c.0 < area);
         let mut hi = lo;
         while hi < self.corners.len() && self.corners[hi].1 <= req {
             hi += 1;
         }
-        let stale = hi - lo;
-        if stale == 0 {
+        if hi == lo {
             self.corners.insert(lo, (area, req, v));
         } else {
             self.corners[lo] = (area, req, v);
-            if stale > 1 {
+            if hi > lo + 1 {
                 self.corners.drain(lo + 1..hi);
             }
         }
-        stale
-    }
-
-    fn len(&self) -> usize {
-        self.corners.len()
     }
 }
 
@@ -121,13 +202,16 @@ impl Default for PrunePolicy {
 
 /// A set of mutually non-inferior `(load, req, area)` solutions.
 ///
-/// A curve owns its points and keeps them sorted by increasing load after
-/// [`Curve::prune`]. All dynamic programs in the workspace are built from
-/// the four operators here: [`push`](Curve::push) (base cases),
+/// A curve owns its points and keeps them in prune order — sorted by
+/// `(load, area, −req, provenance)` — after [`Curve::prune`] and every
+/// operator. All dynamic programs in the workspace are built from the
+/// operators here: [`push`](Curve::push) (base cases),
 /// [`merged_with`](Curve::merged_with) (joining two subtrees at a common
-/// point), [`extended`](Curve::extended) (prepending a wire), and
+/// point), [`extended`](Curve::extended) (prepending a wire),
 /// [`with_buffer_options`](Curve::with_buffer_options) (optionally driving
-/// the structure with each library buffer).
+/// the structure with each library buffer), and the union operators
+/// [`absorb`](Curve::absorb) and
+/// [`from_sorted_runs`](Curve::from_sorted_runs).
 ///
 /// # Examples
 ///
@@ -242,98 +326,83 @@ impl Curve {
     /// representative of identical points, and sorts by increasing load.
     ///
     /// Runs in `O(s log s)`: points are sorted by the total order
-    /// `(load, area, −req, prov)` and swept through the indexed
+    /// `(load, area, −req, prov)` and swept once through the indexed
     /// [`Stair`], exactly the "pruning operation" of lines 19–20 of the
-    /// paper's Figure 9. Lemma 9: no non-inferior solution is lost.
+    /// paper's Figure 9. Survivors are compacted in place — no output
+    /// vector, no per-point allocations. Lemma 9: no non-inferior solution
+    /// is lost.
     pub fn prune(&mut self) {
         if crate::fault::trip("curves.prune") {
             self.pts.clear();
             return;
         }
-        if self.pts.len() <= 1 {
+        let input = self.pts.len();
+        if input <= 1 {
             return;
         }
         self.pts.sort_unstable_by(cmp_total);
-        // The instrumented sweep is a physically separate copy of the loop
-        // (not a `traced` flag threaded through the hot one): prune is the
-        // hottest function in the workspace, and keeping even a
-        // perfectly-predicted per-point branch plus the tally locals out
-        // of the untraced path is what keeps disabled tracing free.
-        if merlin_trace::is_enabled() {
-            self.prune_sweep_traced();
-        } else {
-            self.prune_sweep();
+        let mut stair: Stair<()> = Stair::new();
+        let mut w = 0usize;
+        for i in 0..input {
+            let p = self.pts[i];
+            if admit(&mut stair, &p) {
+                self.pts[w] = p;
+                w += 1;
+            }
         }
+        self.pts.truncate(w);
+        note_sweep(input, w);
         self.debug_check_noninferior("prune");
     }
 
-    /// The Definition-6 sweep over the indexed staircase: a point is
-    /// inferior iff the floor corner at its area already reaches its req
-    /// (that corner's load and area are at or below the point's, by the
-    /// sweep order). Survivors are compacted in place — no output vector,
-    /// no per-point allocations.
-    ///
-    /// `inline(always)`: this is `prune`'s untraced hot path — measured
-    /// against the uninstrumented code, letting the two-callee dispatch
-    /// demote this call to an outlined one costs ~3% end-to-end.
-    #[inline(always)]
-    fn prune_sweep(&mut self) {
-        let mut stair: Stair<()> = Stair::new();
-        let mut w = 0usize;
-        for i in 0..self.pts.len() {
-            let p = self.pts[i];
-            if stair.floor(p.area).is_some_and(|(_, r, ())| r >= p.req) {
-                continue;
-            }
-            stair.accept(p.area, p.req, ());
-            self.pts[w] = p;
-            w += 1;
-        }
-        self.pts.truncate(w);
-    }
-
-    /// [`Curve::prune_sweep`] plus the `curves.prune.*` trace counters and
-    /// the Definition-6 kill taxonomy: a killer staircase corner with the
-    /// identical (area, bit-identical req) means the point is a duplicate
-    /// of one already kept; anything else is genuine domination. The
-    /// `curves.prune.index.*` names size the staircase itself.
-    #[cold]
-    #[inline(never)]
-    fn prune_sweep_traced(&mut self) {
-        let before = self.pts.len();
-        let mut killed_duplicate = 0u64;
-        let mut stale_corners = 0u64;
-        let mut peak_corners = 0usize;
-        let mut stair: Stair<()> = Stair::new();
-        let mut w = 0usize;
-        for i in 0..self.pts.len() {
-            let p = self.pts[i];
-            if let Some((area, req, ())) = stair.floor(p.area) {
-                if req >= p.req {
-                    if area == p.area && req.to_bits() == p.req.to_bits() {
-                        killed_duplicate += 1;
+    /// Builds the pruned union of sorted runs without sorting: run `r` is
+    /// `pts[ends[r - 1]..ends[r]]` (the first starts at 0), and each must
+    /// already be in prune order. Adjacent runs that are already in order
+    /// are joined as they stand; the rest are merged pairwise (ties take
+    /// the earlier run), and the last merge feeds one Definition-6 sweep.
+    /// The result equals pushing all of `pts` and calling
+    /// [`Curve::prune`], for `O(n log k)` instead of `O(n log n)`.
+    pub fn from_sorted_runs(pts: &[CurvePoint], ends: &[usize]) -> Curve {
+        // Coalesced run ends: a boundary stays only where the order breaks.
+        let mut runs: Vec<usize> = Vec::with_capacity(ends.len());
+        let mut start = 0;
+        for &end in ends {
+            if end > start {
+                debug_assert!(
+                    in_prune_order(&pts[start..end]),
+                    "from_sorted_runs: run {start}..{end} is not in prune order"
+                );
+                match runs.last_mut() {
+                    Some(last) if cmp_total(&pts[start - 1], &pts[start]) != Ordering::Greater => {
+                        *last = end;
                     }
-                    continue;
+                    _ => runs.push(end),
                 }
             }
-            stale_corners += stair.accept(p.area, p.req, ()) as u64;
-            peak_corners = peak_corners.max(stair.len());
-            self.pts[w] = p;
-            w += 1;
+            start = end;
         }
-        self.pts.truncate(w);
-        let killed = (before - w) as u64;
-        merlin_trace::counter("curves.prune.calls", 1);
-        merlin_trace::counter("curves.prune.in", before as u64);
-        merlin_trace::counter("curves.pruned", killed);
-        merlin_trace::counter("curves.prune.kill.duplicate", killed_duplicate);
-        merlin_trace::counter(
-            "curves.prune.kill.dominated",
-            killed.saturating_sub(killed_duplicate),
-        );
-        merlin_trace::counter("curves.prune.index.stale", stale_corners);
-        merlin_trace::observe("curves.prune.index.peak", peak_corners as u64);
-        merlin_trace::observe("curves.prune.size", w as u64);
+        let total = runs.last().copied().unwrap_or(0);
+        let mut cur = Cow::Borrowed(&pts[..total]);
+        while runs.len() > 2 {
+            let mut next = Vec::with_capacity(total);
+            let mut merged = Vec::with_capacity(runs.len().div_ceil(2));
+            let mut start = 0;
+            for pair in runs.chunks(2) {
+                let mid = pair[0];
+                let end = pair.last().copied().unwrap_or(mid);
+                merge2(&cur[start..mid], &cur[mid..end], cmp_total, |p, _| {
+                    next.push(p);
+                });
+                merged.push(end);
+                start = end;
+            }
+            cur = Cow::Owned(next);
+            runs = merged;
+        }
+        let mid = runs.first().copied().unwrap_or(0);
+        Curve {
+            pts: merge_sweep(&cur[..mid], &cur[mid..], cmp_total, |p, _| p),
+        }
     }
 
     /// Applies a [`PrunePolicy`] to an already-pruned curve: re-runs the
@@ -500,34 +569,113 @@ impl Curve {
         out
     }
 
-    /// Adds, for every library buffer, the option of driving each solution
-    /// with that buffer (load collapses to the buffer input capacitance,
-    /// required time shrinks by the buffer delay, area grows by the buffer
-    /// area). The unbuffered originals are kept; the result is pruned.
-    pub fn with_buffer_options<F>(&self, library: &BufferLibrary, mut step: F) -> Curve
+    /// The `*` of `*PTREE` and the buffer step of every DP: adds, for each
+    /// library buffer `library[select[k]]`, the option of driving each
+    /// solution with that buffer (load collapses to the buffer input
+    /// capacitance, required time shrinks by the buffer delay into the old
+    /// load, area grows by the buffer area). The unbuffered originals are
+    /// kept, and `policy` is applied to the options and again to the
+    /// union. With `enforce_max_load`, a buffer is not offered above its
+    /// `max_load`. The curve must be in prune order.
+    ///
+    /// Li & Shi form: every option of one buffer drives the same load, so
+    /// the options of buffer `k` that survive among themselves are exactly
+    /// the (area ↑, req ↑) staircase of `(area + A_k, req − d_k(load))`
+    /// over the curve sorted by area — one `O(s)` pass per buffer after a
+    /// single `O(s log s)` sort, and no option a same-buffer option
+    /// dominates is ever materialized. The staircases, each already in
+    /// prune order, are merged and swept once; the survivors are merged
+    /// with the originals and swept once more.
+    ///
+    /// `step(buffer index, child provenance)` is called only for options
+    /// that survive the union, in prune order, and returns the option's
+    /// provenance. Exact ties keep the same winners as pruning the
+    /// originals plus all `s × b` raw options generated buffer-major in
+    /// `select` order: the original first, then the earlier buffer, then
+    /// the earlier point in storage order.
+    pub fn with_buffer_options<F>(
+        &self,
+        library: &BufferLibrary,
+        select: &[u16],
+        enforce_max_load: bool,
+        policy: PrunePolicy,
+        mut step: F,
+    ) -> Curve
     where
         F: FnMut(u16, ProvId) -> ProvId,
     {
-        let mut out = Curve::with_capacity(self.len() * (library.len() + 1));
-        for p in &self.pts {
-            out.push(*p);
+        debug_assert!(
+            in_prune_order(&self.pts),
+            "with_buffer_options needs a curve in prune order"
+        );
+        if self.is_empty() {
+            return Curve::new();
         }
-        for (bi, buf) in library.iter().enumerate() {
-            for p in &self.pts {
-                out.push(CurvePoint {
+        let s = self.pts.len();
+        let s32 = u32::try_from(s).expect("curve size fits a provenance index");
+        // Storage positions by (area, position): per buffer, option area
+        // grows with the original's area, and equal areas keep the earlier
+        // point first.
+        let mut by_area: Vec<u32> = (0..s32).collect();
+        by_area.sort_unstable_by_key(|&i| (self.pts[i as usize].area, i));
+        // Options carry `k·s + position` as provenance until they survive:
+        // unique, and ordered like buffer-major generation.
+        let mut options: Vec<CurvePoint> = Vec::with_capacity(s * select.len());
+        let mut ends: Vec<usize> = Vec::with_capacity(select.len());
+        let mut base = 0u32;
+        for &bi in select {
+            let buf = &library[usize::from(bi)];
+            let start = options.len();
+            for &i in &by_area {
+                let p = &self.pts[i as usize];
+                if enforce_max_load && p.load > buf.max_load {
+                    continue;
+                }
+                let cand = CurvePoint {
                     load: buf.cin,
                     req: p.req - buf.delay_linear_ps(p.load),
                     area: p.area + buf.area,
-                    prov: step(bi as u16, p.prov),
-                });
+                    prov: ProvId::new(base + i),
+                };
+                match options[start..].last_mut() {
+                    // Same area as the last step: the higher req wins, and
+                    // the earlier point on a tie (the prune sort's order).
+                    Some(last) if last.area == cand.area => {
+                        if ps_cmp(cand.req, last.req) == Ordering::Greater {
+                            *last = cand;
+                        }
+                    }
+                    // Larger area: a new step only if it raises the req.
+                    Some(last) if last.req >= cand.req => {}
+                    _ => options.push(cand),
+                }
             }
+            ends.push(options.len());
+            base += s32;
         }
-        out.prune();
+        let mut options = Curve::from_sorted_runs(&options, &ends);
+        options.reduce(policy);
+        // The union: on an exact tie the original (the older solution)
+        // wins, so only options that survive here get a provenance step.
+        let pts = merge_sweep(&self.pts, &options.pts, cmp_key, |mut p, option| {
+            if option {
+                let id = p.prov.index();
+                p.prov = step(select[id / s], self.pts[id % s].prov);
+            }
+            p
+        });
+        let mut out = Curve { pts };
+        out.reduce(policy);
         out.debug_check_noninferior("with_buffer_options");
         out
     }
 
     /// Merges another curve's points into this one in place, re-pruning.
+    ///
+    /// Both curves must be in prune order (every operator leaves its
+    /// output so), which makes this one linear merge plus one
+    /// Definition-6 sweep instead of a sort; the result equals pruning the
+    /// concatenation.
     pub fn absorb(&mut self, other: Curve) {
         if other.is_empty() {
             return;
@@ -536,9 +684,23 @@ impl Curve {
             *self = other;
             return;
         }
-        self.pts.extend(other.pts);
-        self.prune();
+        debug_assert!(
+            in_prune_order(&self.pts) && in_prune_order(&other.pts),
+            "absorb needs both curves in prune order"
+        );
+        self.pts = merge_sweep(&self.pts, &other.pts, cmp_total, |p, _| p);
         self.debug_check_noninferior("absorb");
+    }
+
+    /// Re-homes pending provenance: each point's `prov` indexes `pending`,
+    /// and becomes the handle of a fresh `arena` step holding that entry.
+    /// Steps are pushed in storage order, so only the points that reached
+    /// this call allocate steps, and the curve's order and values do not
+    /// change.
+    pub fn finalize<S: Copy>(&mut self, pending: &[S], arena: &mut ProvArena<S>) {
+        for p in &mut self.pts {
+            p.prov = arena.push(pending[p.prov.index()]);
+        }
     }
 
     /// Best (largest) required time among solutions with `area ≤ budget`
@@ -566,11 +728,17 @@ impl Curve {
     /// This is a *speed knob*, not part of the paper's algorithm; with it
     /// disabled (the default in the accuracy configurations) all curves are
     /// exact. The scaling benchmarks quantify its effect.
+    ///
+    /// The curve must be in prune order, which it keeps: the kept points
+    /// stay in storage order.
     pub fn thin_to(&mut self, max_points: usize) {
         if max_points == 0 || self.pts.len() <= max_points {
             return;
         }
-        self.pts.sort_unstable_by_key(|a| a.load);
+        debug_assert!(
+            in_prune_order(&self.pts),
+            "thin_to needs a curve in prune order"
+        );
         let best_req_idx = self
             .pts
             .iter()
@@ -761,7 +929,8 @@ mod tests {
         let lib = BufferLibrary::tiny_test();
         let mut c = Curve::new();
         c.push(CurvePoint::with_load(Cap::from_ff(500.0), 900.0, 0, pid(0)));
-        let b = c.with_buffer_options(&lib, |_, p| p);
+        let select: Vec<u16> = (0..lib.len() as u16).collect();
+        let b = c.with_buffer_options(&lib, &select, false, PrunePolicy::EXACT, |_, p| p);
         // The huge unbuffered load means a buffered variant survives (small
         // load) alongside the original (best req, zero area).
         assert!(b.len() >= 2);

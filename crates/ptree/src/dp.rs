@@ -172,7 +172,7 @@ impl<'a> Ptree<'a> {
                     }
                     raw.prune();
                     raw.thin_to(self.config.max_curve_points);
-                    finalize(&mut raw, &pending, &mut arena);
+                    raw.finalize(&pending, &mut arena);
                     sb.push(raw);
                 }
                 // Phase 2: one-hop relocations.
@@ -203,7 +203,7 @@ impl<'a> Ptree<'a> {
                     }
                     additions.prune();
                     additions.thin_to(self.config.max_curve_points);
-                    finalize(&mut additions, &pending, &mut arena);
+                    additions.finalize(&pending, &mut arena);
                     combined.absorb(additions);
                     combined.thin_to(self.config.max_curve_points);
                     sw.push(combined);
@@ -227,20 +227,6 @@ impl<'a> Ptree<'a> {
             arena,
         }
     }
-}
-
-/// Re-homes the provenance of `curve` (indices into `pending`) into the
-/// real arena, so only surviving points allocate permanent steps.
-fn finalize(curve: &mut Curve, pending: &[RouteStep], arena: &mut ProvArena<RouteStep>) {
-    let remapped: Vec<CurvePoint> = curve
-        .iter()
-        .map(|p| {
-            let mut q = *p;
-            q.prov = arena.push(pending[p.prov.index()]);
-            q
-        })
-        .collect();
-    *curve = remapped.into_iter().collect();
 }
 
 impl PtreeSolved {

@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES="fmt clippy audit tests release-tests chaos supervisor-chaos proc-chaos trace parallel server-chaos telemetry"
+STAGES="fmt clippy audit tests release-tests chaos supervisor-chaos proc-chaos trace parallel perfbench server-chaos telemetry"
 
 FIX=0
 ONLY=()
@@ -288,6 +288,26 @@ EOF
   done
 }
 
+stage_perfbench() {
+  echo "== perfbench (benchmark suite + a short solve-seq run) =="
+  # perfbench is its own cargo workspace on the library crates' public
+  # API, so nothing else here builds it: run its tests, then one short
+  # seeded solve-seq run, whose output checks make it exit non-zero if
+  # any solve is wrong.
+  cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+  cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload solve-seq --seed 1 --seconds 4 --trace 0 > "$SUPTMP/perfbench.txt" || {
+    echo "perfbench: solve-seq run failed:" >&2
+    cat "$SUPTMP/perfbench.txt" >&2
+    exit 1
+  }
+  tail -n 1 "$SUPTMP/perfbench.txt" | grep -q '"correct": true' || {
+    echo "perfbench: solve-seq reported a wrong result:" >&2
+    tail -n 1 "$SUPTMP/perfbench.txt" >&2
+    exit 1
+  }
+}
+
 stage_server_chaos() {
   echo "== server-chaos (SIGKILL + restart recovery, typed shedding) =="
   cargo build -q --release --bin merlin_cli
@@ -519,6 +539,7 @@ run_stage() {
     proc-chaos) stage_proc_chaos ;;
     trace) stage_trace ;;
     parallel) stage_parallel ;;
+    perfbench) stage_perfbench ;;
     server-chaos) stage_server_chaos ;;
     telemetry) stage_telemetry ;;
     *)
