@@ -93,7 +93,7 @@ fn compose_group(
         let mut work = 1u64;
         for (p, c) in curves.iter().enumerate() {
             work += c.len() as u64;
-            fam[p].absorb(c.clone());
+            fam[p].absorb(c);
         }
         budget.charge(work)?;
         budget.check_deadline()?;
@@ -573,7 +573,7 @@ impl<'a> BubbleConstruct<'a> {
             );
             additions.reduce(ctx.policy);
             additions.finalize(&pending, &mut arena);
-            curve.absorb(additions);
+            curve.absorb(&additions);
             curve.reduce(ctx.policy);
             if skipped > 0 && traced {
                 merlin_trace::counter("curves.prune.predictive.extend", skipped);

@@ -361,7 +361,7 @@ fn compute_range(
             additions.thin_to(ctx.max_pts);
             additions.finalize(&pending, arena);
             let additions = buffered(ctx, &additions, arena);
-            c.absorb(additions);
+            c.absorb(&additions);
             c.reduce(ctx.policy);
             c.thin_to(ctx.max_pts);
         }

@@ -676,12 +676,12 @@ impl Curve {
     /// output so), which makes this one linear merge plus one
     /// Definition-6 sweep instead of a sort; the result equals pruning the
     /// concatenation.
-    pub fn absorb(&mut self, other: Curve) {
+    pub fn absorb(&mut self, other: &Curve) {
         if other.is_empty() {
             return;
         }
         if self.is_empty() {
-            *self = other;
+            self.pts.clone_from(&other.pts);
             return;
         }
         debug_assert!(
@@ -1001,7 +1001,7 @@ mod tests {
         a.push(CurvePoint::new(10, 100.0, 5, pid(0)));
         let mut b = Curve::new();
         b.push(CurvePoint::new(10, 120.0, 5, pid(1)));
-        a.absorb(b);
+        a.absorb(&b);
         assert_eq!(a.len(), 1);
         assert_eq!(a.points()[0].req, 120.0);
     }

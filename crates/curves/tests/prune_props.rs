@@ -442,7 +442,7 @@ fn absorb_matches_the_oracle_of_the_concatenation() {
         a.prune();
         b.prune();
         let expect = keys(&oracle_prune(&unpruned(a.iter().chain(b.iter()).copied())));
-        a.absorb(b);
+        a.absorb(&b);
         assert_eq!(keys(a.points()), expect, "round {round}");
     }
 }
@@ -723,7 +723,7 @@ proptest! {
         let mut b = curve_from(&right);
         a.prune();
         b.prune();
-        a.absorb(b);
+        a.absorb(&b);
         prop_assert!(a.is_pruned());
         prop_assert!(a.check_invariants().is_ok());
     }

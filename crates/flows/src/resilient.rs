@@ -183,8 +183,8 @@ pub fn resilient_solve_from(
 }
 
 /// The batch supervisor's per-attempt entry point: applies an
-/// [`AttemptParams`] perturbation (thinned search, lowered ladder entry,
-/// intra-net DP threads) on top of `cfg` and solves. The budget scale of
+/// [`AttemptParams`] perturbation (thinned search, lowered ladder entry)
+/// on top of `cfg` and solves. The budget scale of
 /// the params is *not* applied here — the supervisor builds each attempt's
 /// budget itself so the caller controls what "the per-net budget" means.
 pub fn resilient_solve_attempt(
@@ -194,18 +194,11 @@ pub fn resilient_solve_attempt(
     budget: &SolveBudget,
     params: &AttemptParams,
 ) -> ResilientOutcome {
-    let mut cfg = if params.thin_search {
-        cfg.thinned()
+    if params.thin_search {
+        resilient_solve_from(net, tech, &cfg.thinned(), budget, params.entry)
     } else {
-        cfg.clone()
-    };
-    if params.threads != 0 {
-        cfg.merlin.threads = params.threads;
+        resilient_solve_from(net, tech, cfg, budget, params.entry)
     }
-    if params.load_quant != 0 {
-        cfg.merlin.load_quant = params.load_quant;
-    }
-    resilient_solve_from(net, tech, &cfg, budget, params.entry)
 }
 
 #[cfg(test)]

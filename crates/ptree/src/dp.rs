@@ -204,7 +204,7 @@ impl<'a> Ptree<'a> {
                     additions.prune();
                     additions.thin_to(self.config.max_curve_points);
                     additions.finalize(&pending, &mut arena);
-                    combined.absorb(additions);
+                    combined.absorb(&additions);
                     combined.thin_to(self.config.max_curve_points);
                     sw.push(combined);
                 }

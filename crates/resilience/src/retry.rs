@@ -42,18 +42,6 @@ pub struct AttemptParams {
     /// Whether the attempt should run with a thinned search (cheaper
     /// candidate-location strategy, thinner curves).
     pub thin_search: bool,
-    /// Worker threads for the intra-net parallel DP (0 = leave the
-    /// configured `MerlinConfig::threads` untouched). The supervisor sets
-    /// this from its own `--threads` knob; the retry schedule itself never
-    /// perturbs it, since thread count cannot change the (deterministic)
-    /// result — only how fast a retry burns its budget slice.
-    pub threads: usize,
-    /// Load-quantization divisor for the post-prune curve-reduction dial
-    /// (0 = leave the configured `MerlinConfig::load_quant` untouched).
-    /// Like `threads`, this is a supervisor knob rather than part of the
-    /// retry schedule: the schedule's search thinning already coarsens
-    /// the dial through the flows-side `thinned()` policy.
-    pub load_quant: u32,
 }
 
 /// Bounded-retry policy with exponential backoff. See the module docs.
@@ -143,8 +131,6 @@ impl RetryPolicy {
             budget_scale: (0.5f64.powi(attempt.min(3) as i32)).max(0.125),
             entry,
             thin_search: attempt > 0,
-            threads: 0,
-            load_quant: 0,
         }
     }
 }

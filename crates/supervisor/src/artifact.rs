@@ -3,8 +3,9 @@
 //! When a net exhausts its retry budget, the supervisor serializes
 //! everything needed to reproduce the failure outside the batch — the net
 //! itself (in the `merlin_netlist::io` `.net` format), the supervision
-//! parameters (acceptance tier, budgets, attempt count, watchdog limit)
-//! and any armed chaos config — into one plain-text artifact:
+//! parameters (acceptance tier, budgets, attempt count, ladder entry
+//! floor, watchdog limit) and any armed chaos config — into one
+//! plain-text artifact:
 //!
 //! ```text
 //! #merlin-repro v1
@@ -13,6 +14,7 @@
 //! max-attempts 3
 //! budget-ms 100
 //! work-limit 50000
+//! entry-floor ptree+vg
 //! watchdog-ms 500
 //! chaos flows.flow3.run:panic:1:40
 //! net n17
@@ -20,11 +22,14 @@
 //! sink 100 200 12.5 900.000
 //! ```
 //!
-//! The `budget-ms` / `work-limit` / `watchdog-ms` / `chaos` lines are
-//! optional; everything before the `net` line is supervision metadata and
-//! everything from it onward is the standard `.net` body. [`replay`] runs
-//! the exact attempt sequence the supervisor would (same
-//! [`RetryPolicy::params`] perturbations, same scaled budgets) and
+//! The `budget-ms` / `work-limit` / `entry-floor` / `watchdog-ms` /
+//! `chaos` lines are optional (`entry-floor` is the daemon's
+//! load-shedding floor, written only when one was set); everything
+//! before the `net` line is supervision metadata and everything from it
+//! onward is the standard `.net` body. [`replay`] runs the supervisor's
+//! attempt sequence through the same [`crate::exec`] attempt every mode
+//! runs (same [`RetryPolicy::params`] perturbations, entry floor and
+//! scaled budgets) and
 //! [`minimize`] greedily removes sinks while the failure still
 //! reproduces, so the artifact that lands on disk is the smallest
 //! counterexample the minimizer could find. `merlin_cli repro <file>`
@@ -34,13 +39,14 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use merlin_flows::resilient::resilient_solve_attempt;
-use merlin_flows::FlowsConfig;
 use merlin_netlist::{io as net_io, Net};
 use merlin_resilience::fault::{self, FaultConfig, FaultKind};
 use merlin_resilience::journal::RecordStatus;
-use merlin_resilience::{RetryPolicy, ServingTier, SolveBudget};
+use merlin_resilience::{RetryPolicy, ServingTier};
 use merlin_tech::Technology;
+
+use crate::batch::BatchConfig;
+use crate::exec::{ExecOptions, NetRun};
 
 /// First line of every `.repro` artifact.
 pub const REPRO_HEADER: &str = "#merlin-repro v1";
@@ -59,6 +65,9 @@ pub struct Repro {
     pub budget_ms: Option<u64>,
     /// Per-net DP work limit, if one was set.
     pub work_limit: Option<u64>,
+    /// The weakest ladder entry tier the attempts were held to (the
+    /// daemon's load-shedding floor), if one was set.
+    pub entry_floor: Option<ServingTier>,
     /// Watchdog wall-clock limit in milliseconds, if the watchdog ran.
     pub watchdog_ms: Option<u64>,
     /// The chaos config the workers were seeded with (empty outside
@@ -102,6 +111,9 @@ pub fn write_repro(repro: &Repro) -> String {
     }
     if let Some(w) = repro.work_limit {
         let _ = writeln!(s, "work-limit {w}");
+    }
+    if let Some(floor) = repro.entry_floor {
+        let _ = writeln!(s, "entry-floor {}", floor.label());
     }
     if let Some(ms) = repro.watchdog_ms {
         let _ = writeln!(s, "watchdog-ms {ms}");
@@ -179,6 +191,7 @@ pub fn parse_repro(text: &str) -> Result<Repro, ReproParseError> {
     let mut max_attempts = None;
     let mut budget_ms = None;
     let mut work_limit = None;
+    let mut entry_floor = None;
     let mut watchdog_ms = None;
     let mut chaos = FaultConfig::none();
     let mut net_text = String::new();
@@ -228,6 +241,12 @@ pub fn parse_repro(text: &str) -> Result<Repro, ReproParseError> {
                         .map_err(|_| bad("malformed work-limit"))?,
                 );
             }
+            "entry-floor" => {
+                entry_floor = Some(
+                    ServingTier::parse(value)
+                        .ok_or_else(|| bad(format!("unknown entry floor `{value}`")))?,
+                );
+            }
             "watchdog-ms" => {
                 watchdog_ms = Some(
                     value
@@ -256,31 +275,11 @@ pub fn parse_repro(text: &str) -> Result<Repro, ReproParseError> {
         max_attempts: max_attempts.ok_or_else(|| bad("missing `max-attempts` line"))?,
         budget_ms,
         work_limit,
+        entry_floor,
         watchdog_ms,
         chaos,
         net,
     })
-}
-
-/// Builds the budget for one attempt from the per-net limits and the
-/// attempt's [`merlin_resilience::AttemptParams::budget_scale`].
-pub(crate) fn attempt_budget(
-    budget_ms: Option<u64>,
-    work_limit: Option<u64>,
-    scale: f64,
-) -> SolveBudget {
-    // Retry ladders hand in small scale factors (~1x–4x), but the value
-    // ultimately comes from config; cap it so `mul_f64` can never hit the
-    // Duration overflow panic (the same hazard as the PR 5 backoff bug).
-    let scale = if scale.is_finite() { scale } else { 1.0 };
-    let mut budget = SolveBudget::unlimited();
-    if let Some(ms) = budget_ms {
-        budget = budget.and_deadline(Duration::from_millis(ms).mul_f64(scale.clamp(0.0, 1024.0)));
-    }
-    if let Some(limit) = work_limit {
-        budget = budget.and_work_limit(((limit as f64) * scale).floor().max(1.0) as u64);
-    }
-    budget
 }
 
 /// What one [`replay`] observed.
@@ -294,9 +293,10 @@ pub struct ReplayOutcome {
 }
 
 /// Replays the supervisor's attempt sequence for `repro` on the current
-/// thread: each attempt seeds the artifact's chaos config afresh, applies
-/// the deterministic [`RetryPolicy::params`] perturbation, and solves
-/// under the correspondingly scaled budget. An attempt "fails" when its
+/// thread: each attempt seeds the artifact's chaos config afresh and runs
+/// the supervisor's own attempt (the deterministic
+/// [`RetryPolicy::params`] perturbation held to the entry floor, under
+/// the correspondingly scaled budget). An attempt "fails" when its
 /// served tier is weaker than the acceptance tier or (for watchdog
 /// artifacts) its wall-clock exceeds the watchdog limit.
 pub fn replay(repro: &Repro, tech: &Technology) -> ReplayOutcome {
@@ -311,21 +311,33 @@ pub fn replay(repro: &Repro, tech: &Technology) -> ReplayOutcome {
 }
 
 fn replay_seeded(repro: &Repro, tech: &Technology) -> ReplayOutcome {
-    let policy = RetryPolicy {
-        max_attempts: repro.max_attempts.max(1),
-        ..RetryPolicy::no_retries()
+    let cfg = BatchConfig {
+        budget_ms: repro.budget_ms,
+        work_limit: repro.work_limit,
+        retry: RetryPolicy {
+            max_attempts: repro.max_attempts.max(1),
+            ..RetryPolicy::no_retries()
+        },
+        ..BatchConfig::default()
     };
-    let cfg = FlowsConfig::for_net_size(repro.net.num_sinks());
+    let run = NetRun {
+        net: &repro.net,
+        idx: 0,
+        tech,
+        cfg: &cfg,
+        opts: ExecOptions {
+            entry_floor: repro.entry_floor,
+            budget_ms: None,
+        },
+    };
     let mut attempts = Vec::new();
-    for attempt in 0..policy.max_attempts {
+    for attempt in 0..cfg.retry.max_attempts {
         // Fresh hit counters per attempt: each supervisor retry ran on a
         // freshly seeded replacement worker in the watchdog case, and this
         // keeps replays independent of what earlier attempts consumed.
         fault::seed_thread(&repro.chaos);
-        let params = policy.params(attempt);
-        let budget = attempt_budget(repro.budget_ms, repro.work_limit, params.budget_scale);
         let start = Instant::now();
-        let out = resilient_solve_attempt(&repro.net, tech, &cfg, &budget, &params);
+        let (out, _) = run.attempt(attempt);
         let elapsed = start.elapsed();
         attempts.push((out.report.served, elapsed.as_secs_f64()));
         let timed_out = repro
@@ -437,6 +449,7 @@ mod tests {
             max_attempts: 2,
             budget_ms: Some(250),
             work_limit: Some(50_000),
+            entry_floor: None,
             watchdog_ms: Some(1_000),
             chaos: FaultConfig::none(),
             net: random_net("repro-net", 5, 3, &tech),
@@ -445,7 +458,8 @@ mod tests {
 
     #[test]
     fn repro_round_trips() {
-        let repro = sample_repro();
+        let mut repro = sample_repro();
+        repro.entry_floor = Some(ServingTier::PtreeVanGinneken);
         let text = write_repro(&repro);
         let parsed = parse_repro(&text).expect("artifact parses");
         assert_eq!(parsed.cause, repro.cause);
@@ -453,6 +467,7 @@ mod tests {
         assert_eq!(parsed.max_attempts, repro.max_attempts);
         assert_eq!(parsed.budget_ms, repro.budget_ms);
         assert_eq!(parsed.work_limit, repro.work_limit);
+        assert_eq!(parsed.entry_floor, repro.entry_floor);
         assert_eq!(parsed.watchdog_ms, repro.watchdog_ms);
         assert_eq!(parsed.net.name, repro.net.name);
         assert_eq!(parsed.net.num_sinks(), repro.net.num_sinks());
@@ -464,9 +479,12 @@ mod tests {
         repro.budget_ms = None;
         repro.work_limit = None;
         repro.watchdog_ms = None;
-        let parsed = parse_repro(&write_repro(&repro)).expect("parses");
+        let text = write_repro(&repro);
+        assert!(!text.contains("entry-floor"), "no floor, no line: {text}");
+        let parsed = parse_repro(&text).expect("parses");
         assert_eq!(parsed.budget_ms, None);
         assert_eq!(parsed.work_limit, None);
+        assert_eq!(parsed.entry_floor, None);
         assert_eq!(parsed.watchdog_ms, None);
     }
 
@@ -478,6 +496,8 @@ mod tests {
         assert!(parse_repro(&missing_net).is_err());
         let bad_cause = format!("{REPRO_HEADER}\ncause nope\n");
         assert!(parse_repro(&bad_cause).is_err());
+        let bad_floor = format!("{REPRO_HEADER}\nentry-floor nope\n");
+        assert!(parse_repro(&bad_floor).is_err());
         let unknown = format!("{REPRO_HEADER}\nwat 3\n");
         assert!(parse_repro(&unknown).is_err());
     }

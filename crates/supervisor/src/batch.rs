@@ -6,19 +6,21 @@
 //! exactly one solve attempt per pull:
 //!
 //! 1. a worker pulls the next due attempt from the shared queue, records
-//!    itself in the in-flight table under a fresh *generation*, solves,
-//!    and reports the outcome back over a channel;
+//!    itself in the in-flight table under a fresh *generation*, runs the
+//!    attempt every execution mode runs ([`crate::exec`]), and reports
+//!    the outcome back over a channel;
 //! 2. the watchdog thread (armed via [`BatchConfig::watchdog_limit`])
 //!    scans the in-flight table; an attempt over its wall-clock slice is
 //!    *abandoned*: its generation is declared dead (the worker's eventual
 //!    result will be dropped, the worker exits at its next checkpoint and
 //!    is never joined) and the event loop spawns a replacement worker;
-//! 3. the event loop is the single decision point: acceptable outcomes
-//!    are committed to the journal (append + fsync), unacceptable or
-//!    timed-out attempts are either re-queued with backoff under the
-//!    [`merlin_resilience::RetryPolicy`] perturbation or — once attempts
-//!    are exhausted — committed as failures and captured as `.repro`
-//!    artifacts.
+//! 3. the event loop is the single decision point. It hands every
+//!    outcome and every watchdog timeout to the shared verdict
+//!    ([`crate::exec`]): acceptable outcomes are committed to the journal
+//!    (append + fsync), unacceptable or timed-out attempts are either
+//!    re-queued with backoff under the [`merlin_resilience::RetryPolicy`]
+//!    perturbation or — once attempts are exhausted — committed as
+//!    failures and captured as `.repro` artifacts.
 //!
 //! Nothing in here calls `catch_unwind`: DP panics are already contained
 //! by `merlin_resilience::isolate` inside the resilient solver, and the
@@ -33,15 +35,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use merlin_flows::resilient::resilient_solve_attempt;
-use merlin_flows::FlowsConfig;
 use merlin_netlist::Net;
 use merlin_resilience::fault::{self, FaultConfig};
-use merlin_resilience::journal::{outcome_hash, JournalRecord, RecordStatus};
+use merlin_resilience::journal::JournalRecord;
 use merlin_resilience::{RetryPolicy, ServingTier};
 use merlin_tech::Technology;
 
-use crate::artifact::{self, Repro};
+use crate::exec::{minimize_deferred, AttemptEnd, ExecOptions, NetRun, Verdict};
 use crate::journal::{
     load_journal, population_hash, JournalLoadError, JournalMergeError, JournalWriter,
 };
@@ -99,18 +99,6 @@ pub struct BatchConfig {
     /// worker id into [`BatchReport::trace`]. Off by default (the
     /// collector's disabled fast path is a single thread-local load).
     pub capture_trace: bool,
-    /// Intra-net DP worker threads per solve attempt (`0` = keep the
-    /// per-net flows default, which is the sequential engine). The result
-    /// is identical at any thread count; keep `jobs × threads` at or
-    /// below the core count or the shards just contend with each other.
-    pub threads: usize,
-    /// Load-quantization divisor for the post-prune curve-reduction dial,
-    /// applied to every solve attempt (`0` = keep the per-net flows
-    /// default, which is exact). Unlike `threads` this *does* change the
-    /// result — quantized curves trade solution quality for speed — so it
-    /// is an explicit operator knob, surfaced as `--load-quant` on the
-    /// CLI and inherited by the server through its embedded batch config.
-    pub load_quant: u32,
     /// Cap on *concurrently-abandoned* worker threads. Every watchdog
     /// abandonment leaks a thread (stalled mid-solve, never joined);
     /// exceeding the cap fails the batch with
@@ -134,8 +122,6 @@ impl Default for BatchConfig {
             fault: FaultConfig::none(),
             crash_after: None,
             capture_trace: false,
-            threads: 0,
-            load_quant: 0,
             abandon_cap: 32,
         }
     }
@@ -265,15 +251,22 @@ struct Sched {
 struct Shared {
     nets: Vec<Net>,
     tech: Technology,
-    budget_ms: Option<u64>,
-    work_limit: Option<u64>,
-    retry: RetryPolicy,
-    fault: FaultConfig,
-    capture_trace: bool,
-    threads: usize,
-    load_quant: u32,
+    cfg: BatchConfig,
     sched: Mutex<Sched>,
     ready: Condvar,
+}
+
+impl Shared {
+    /// Net `idx` as the shared attempt and verdict functions see it.
+    fn run(&self, idx: usize) -> NetRun<'_> {
+        NetRun {
+            net: &self.nets[idx],
+            idx: idx as u64,
+            tech: &self.tech,
+            cfg: &self.cfg,
+            opts: ExecOptions::default(),
+        }
+    }
 }
 
 enum Event {
@@ -344,32 +337,13 @@ fn next_job(shared: &Shared, worker_id: usize) -> Option<(usize, u32, u64)> {
 /// The worker body: seed the chaos config, then pull-solve-report until
 /// shutdown (or until the watchdog abandons this worker).
 fn worker_loop(shared: Arc<Shared>, tx: mpsc::Sender<Event>, worker_id: usize) {
-    fault::seed_thread(&shared.fault);
-    if shared.capture_trace {
+    fault::seed_thread(&shared.cfg.fault);
+    if shared.cfg.capture_trace {
         merlin_trace::enable();
     }
     while let Some((idx, attempt, gen)) = next_job(&shared, worker_id) {
-        let net = &shared.nets[idx];
-        let mut params = shared.retry.params(attempt);
-        params.threads = shared.threads;
-        params.load_quant = shared.load_quant;
-        let budget =
-            artifact::attempt_budget(shared.budget_ms, shared.work_limit, params.budget_scale);
-        let cfg = FlowsConfig::for_net_size(net.num_sinks());
-        let net_span = merlin_trace::span!("supervisor.net", idx);
-        let out = resilient_solve_attempt(net, &shared.tech, &cfg, &budget, &params);
-        drop(net_span);
-        merlin_trace::counter("supervisor.attempts", 1);
+        let (out, hash) = shared.run(idx).attempt(attempt);
         let tier = out.report.served;
-        let eval = &out.result.eval;
-        let hash = outcome_hash(
-            &net.name,
-            tier,
-            eval.buffer_area,
-            eval.num_buffers,
-            eval.wirelength,
-            eval.delay_ps,
-        );
         let abandoned = {
             let mut s = lock(&shared.sched);
             if s.dead_gens.remove(&gen) {
@@ -396,7 +370,7 @@ fn worker_loop(shared: Arc<Shared>, tx: mpsc::Sender<Event>, worker_id: usize) {
             break;
         }
     }
-    if shared.capture_trace {
+    if shared.cfg.capture_trace {
         // The dump rides the same channel as solve events; the supervisor
         // drains it after joining the pool.
         let _ = tx.send(Event::TraceDump {
@@ -531,41 +505,6 @@ fn open_journal(nets: &[Net], path: &Path) -> Result<OpenedJournal, BatchError> 
     }
 }
 
-/// Writes the (unminimized) repro artifact for a terminally failed net
-/// and, when minimization is on, queues it in `deferred` so the expensive
-/// solve-replaying minimizer runs *after* the event loop instead of
-/// blocking journal commits and retry scheduling mid-batch.
-fn capture_failure(
-    cfg: &BatchConfig,
-    idx: usize,
-    net: &Net,
-    tech: &Technology,
-    cause: RecordStatus,
-    warnings: &mut Vec<String>,
-    deferred: &mut Vec<(usize, Repro)>,
-) {
-    let Some(dir) = &cfg.artifacts_dir else {
-        return;
-    };
-    let repro = Repro {
-        cause,
-        accept_tier: cfg.accept_tier,
-        max_attempts: cfg.retry.max_attempts,
-        budget_ms: cfg.budget_ms,
-        work_limit: cfg.work_limit,
-        watchdog_ms: cfg.watchdog_limit.map(|d| d.as_millis() as u64),
-        chaos: cfg.fault.clone(),
-        net: net.clone(),
-    };
-    // The verbatim artifact lands on disk immediately, so a crash later
-    // in the run still leaves a usable repro behind.
-    match artifact::capture(dir, idx as u64, &repro, tech, false) {
-        Ok(_) if cfg.minimize => deferred.push((idx, repro)),
-        Ok(_) => {}
-        Err(e) => warnings.push(format!("artifact capture for `{}` failed: {e}", net.name)),
-    }
-}
-
 /// Replays a journal (and any shard segments) into a report without a
 /// net population: nothing is solved or validated against inputs — the
 /// records on disk *are* the batch. This is `resume` with no nets: a
@@ -597,7 +536,8 @@ pub fn replay_batch(journal_path: &Path) -> Result<BatchReport, BatchError> {
 ///
 /// Journal problems ([`BatchError::Journal`], [`BatchError::JournalMismatch`]),
 /// filesystem failures, or a wedged run ([`BatchError::Stalled`]). Per-net
-/// solve failures are not errors — they are [`RecordStatus`] outcomes.
+/// solve failures are not errors — they are
+/// [`RecordStatus`](merlin_resilience::journal::RecordStatus) outcomes.
 pub fn run_batch(
     nets: Vec<Net>,
     tech: &Technology,
@@ -648,13 +588,7 @@ pub fn run_batch(
     let shared = Arc::new(Shared {
         nets,
         tech: tech.clone(),
-        budget_ms: cfg.budget_ms,
-        work_limit: cfg.work_limit,
-        retry: cfg.retry,
-        fault: cfg.fault.clone(),
-        capture_trace: cfg.capture_trace,
-        threads: cfg.threads,
-        load_quant: cfg.load_quant,
+        cfg: cfg.clone(),
         sched: Mutex::new(Sched {
             queue,
             inflight: HashMap::new(),
@@ -706,26 +640,7 @@ pub fn run_batch(
     };
 
     let mut solved = 0usize;
-    let mut commits = 0usize;
-    let mut deferred_minimize: Vec<(usize, Repro)> = Vec::new();
-    let mut commit = |rec: JournalRecord,
-                      writer: &mut JournalWriter,
-                      terminal: &mut BTreeMap<u64, JournalRecord>,
-                      warnings: &mut Vec<String>|
-     -> usize {
-        if let Err(e) = writer.append(&rec) {
-            // The record is still tracked in memory so the report is
-            // complete; the journal just lost its resume guarantee.
-            warnings.push(format!(
-                "journal append for net index {} failed: {e}",
-                rec.idx
-            ));
-        }
-        merlin_trace::counter("supervisor.journal.commit", 1);
-        terminal.insert(rec.idx, rec);
-        commits += 1;
-        commits
-    };
+    let mut deferred_minimize = Vec::new();
 
     // Watchdog fires per net index this run, folded into the journal v2
     // `timeouts` field of the net's terminal record.
@@ -742,60 +657,13 @@ pub fn run_batch(
                 });
             }
         };
-        let mut terminal_record = None;
-        match event {
+        let (idx, attempt, end) = match event {
             Event::Done {
                 idx,
                 attempt,
                 tier,
                 hash,
-            } => {
-                if tier <= cfg.accept_tier {
-                    terminal_record = Some(JournalRecord {
-                        idx: idx as u64,
-                        net: sanitize_name(&shared.nets[idx].name),
-                        tier,
-                        attempts: attempt + 1,
-                        timeouts: timeout_counts.get(&idx).copied().unwrap_or(0),
-                        status: RecordStatus::Served,
-                        hash,
-                    });
-                } else if cfg.retry.is_final(attempt) {
-                    capture_failure(
-                        cfg,
-                        idx,
-                        &shared.nets[idx],
-                        tech,
-                        RecordStatus::FailedDegraded,
-                        &mut warnings,
-                        &mut deferred_minimize,
-                    );
-                    terminal_record = Some(JournalRecord {
-                        idx: idx as u64,
-                        net: sanitize_name(&shared.nets[idx].name),
-                        tier,
-                        attempts: attempt + 1,
-                        timeouts: timeout_counts.get(&idx).copied().unwrap_or(0),
-                        status: RecordStatus::FailedDegraded,
-                        hash: 0,
-                    });
-                }
-                if terminal_record.is_none() {
-                    merlin_trace::counter("supervisor.retry", 1);
-                    merlin_trace::counter("supervisor.retry.degraded", 1);
-                    let next = attempt + 1;
-                    let backoff = cfg.retry.backoff(next);
-                    merlin_trace::observe("supervisor.backoff.ms", backoff.as_millis() as u64);
-                    let mut s = lock(&shared.sched);
-                    s.queue.push_back(QueueItem {
-                        idx,
-                        attempt: next,
-                        available_at: Instant::now() + backoff,
-                    });
-                    drop(s);
-                    shared.ready.notify_all();
-                }
-            }
+            } => (idx, attempt, AttemptEnd::Solved { tier, hash }),
             Event::TimedOut { idx, attempt } => {
                 merlin_trace::counter("supervisor.watchdog.fire", 1);
                 merlin_trace::counter("supervisor.watchdog.abandoned", 1);
@@ -812,57 +680,53 @@ pub fn run_batch(
                 }
                 let fired = timeout_counts.entry(idx).or_insert(0);
                 *fired = fired.saturating_add(1);
-                if cfg.retry.is_final(attempt) {
-                    capture_failure(
-                        cfg,
-                        idx,
-                        &shared.nets[idx],
-                        tech,
-                        RecordStatus::FailedTimeout,
-                        &mut warnings,
-                        &mut deferred_minimize,
-                    );
-                    terminal_record = Some(JournalRecord {
-                        idx: idx as u64,
-                        net: sanitize_name(&shared.nets[idx].name),
-                        tier: ServingTier::DirectRoute,
-                        attempts: attempt + 1,
-                        timeouts: timeout_counts.get(&idx).copied().unwrap_or(0),
-                        status: RecordStatus::FailedTimeout,
-                        hash: 0,
-                    });
-                } else {
-                    merlin_trace::counter("supervisor.retry", 1);
-                    merlin_trace::counter("supervisor.retry.timeout", 1);
-                    let next = attempt + 1;
-                    let backoff = cfg.retry.backoff(next);
-                    merlin_trace::observe("supervisor.backoff.ms", backoff.as_millis() as u64);
-                    let mut s = lock(&shared.sched);
-                    s.queue.push_back(QueueItem {
-                        idx,
-                        attempt: next,
-                        available_at: Instant::now() + backoff,
-                    });
-                    drop(s);
-                    shared.ready.notify_all();
-                }
                 // The abandoned worker still occupies its thread (stalled
                 // mid-solve); restore pool capacity with a fresh worker.
                 spawn_worker(&mut handles);
+                (idx, attempt, AttemptEnd::TimedOut)
             }
             Event::TraceDump { worker, trace } => {
                 // Workers dump at exit; anything arriving mid-loop (a
                 // worker that lost its channel) is kept for the merge.
                 trace_dumps.push((worker, trace));
+                continue;
             }
-        }
-        if let Some(rec) = terminal_record {
-            solved += 1;
-            pending -= 1;
-            let n = commit(rec, &mut writer, &mut terminal, &mut warnings);
-            if cfg.crash_after == Some(n) {
-                // Chaos hook: simulate a SIGKILL right after the fsync.
-                std::process::abort();
+        };
+        let timeouts = timeout_counts.get(&idx).copied().unwrap_or(0);
+        let verdict = shared.run(idx).verdict(
+            attempt,
+            end,
+            timeouts,
+            &mut deferred_minimize,
+            &mut warnings,
+        );
+        match verdict {
+            Verdict::Retry(backoff) => {
+                lock(&shared.sched).queue.push_back(QueueItem {
+                    idx,
+                    attempt: attempt + 1,
+                    available_at: Instant::now() + backoff,
+                });
+                shared.ready.notify_all();
+            }
+            Verdict::Terminal(rec) => {
+                if let Err(e) = writer.append(&rec) {
+                    // The record is still tracked in memory so the report
+                    // is complete; the journal just lost its resume
+                    // guarantee.
+                    warnings.push(format!(
+                        "journal append for net index {} failed: {e}",
+                        rec.idx
+                    ));
+                }
+                merlin_trace::counter("supervisor.journal.commit", 1);
+                terminal.insert(rec.idx, rec);
+                solved += 1;
+                pending -= 1;
+                if cfg.crash_after == Some(solved) {
+                    // Chaos hook: simulate a SIGKILL right after the fsync.
+                    std::process::abort();
+                }
             }
         }
     }
@@ -883,20 +747,9 @@ pub fn run_batch(
         // would block on whatever stalled them.
     }
 
-    // Minimization replays up to max_attempts solves per sink-removal
-    // probe; doing it here — with every net committed and the pool shut
-    // down — keeps that cost out of the event loop. Each capture
-    // overwrites the verbatim artifact written when the net failed.
-    if let Some(dir) = &cfg.artifacts_dir {
-        for (idx, repro) in &deferred_minimize {
-            if let Err(e) = artifact::capture(dir, *idx as u64, repro, tech, true) {
-                warnings.push(format!(
-                    "artifact minimization for `{}` failed: {e}",
-                    repro.net.name
-                ));
-            }
-        }
-    }
+    // With every net committed and the pool shut down, minimization
+    // stays out of the event loop.
+    minimize_deferred(cfg, tech, &deferred_minimize, &mut warnings);
 
     // Merge trace streams by worker id: the supervising thread is stream 0,
     // worker `w` is stream `w + 1`. Joined workers have already queued
@@ -932,6 +785,7 @@ pub fn run_batch(
 mod tests {
     use super::*;
     use merlin_netlist::bench_nets::random_net;
+    use merlin_resilience::journal::RecordStatus;
     use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {

@@ -1,16 +1,26 @@
-//! The per-net execution engine, factored out of the CLI-shaped entry
-//! points so embedders (the process-mode worker, `merlin-server`) share
-//! one retry ladder.
+//! The per-net attempt recipe that every execution mode runs.
 //!
-//! [`solve_to_record`] runs one net through the full supervision recipe —
-//! deterministic [`RetryPolicy`](merlin_resilience::RetryPolicy)
-//! perturbation, per-attempt budgets, acceptance against
-//! [`BatchConfig::accept_tier`], failure-artifact capture — and produces
-//! the terminal [`JournalRecord`] the caller commits. The loop mirrors
-//! thread mode byte for byte when called with [`ExecOptions::default`]:
-//! same attempt parameters, budgets, and outcome hashes, which is what
-//! keeps a server-solved or process-mode-solved population's report
-//! byte-identical to a thread-mode batch over the same nets.
+//! Thread mode ([`crate::run_batch`]), process mode ([`crate::run_worker`]),
+//! the daemon (`merlin-server`) and `.repro` replay ([`crate::replay`])
+//! all take a net through the same two functions of `NetRun`:
+//!
+//! * `NetRun::attempt` runs one solve attempt: the deterministic
+//!   [`RetryPolicy::params`](merlin_resilience::RetryPolicy::params)
+//!   perturbation for its ordinal (entering the ladder no higher than
+//!   [`ExecOptions::entry_floor`]), the correspondingly scaled budget,
+//!   the per-size flows config and the resilient solver, inside a
+//!   `supervisor.net` span; it returns the outcome and its journal hash;
+//! * `NetRun::verdict` decides what follows an attempt that returned or
+//!   that the watchdog abandoned: accept it, retry it after a backoff,
+//!   or end the net with a terminal [`JournalRecord`], capturing a
+//!   `.repro` artifact when the net failed.
+//!
+//! Because they call the same functions with the same parameters,
+//! budgets and hashes, the modes journal identical records for the same
+//! nets, and their reports render byte-identically. [`solve_to_record`]
+//! is the loop over the two that runs one net to its terminal record on
+//! the calling thread (process mode and the daemon); thread mode calls
+//! them from its workers and its event loop instead.
 //!
 //! Two knobs exist only for embedders:
 //!
@@ -23,18 +33,18 @@
 
 use std::time::Duration;
 
-use merlin_flows::resilient::resilient_solve_attempt;
+use merlin_flows::resilient::{resilient_solve_attempt, ResilientOutcome};
 use merlin_flows::{FlowResult, FlowsConfig};
 use merlin_netlist::Net;
 use merlin_resilience::journal::{outcome_hash, JournalRecord, RecordStatus};
-use merlin_resilience::ServingTier;
+use merlin_resilience::{ServingTier, SolveBudget};
 use merlin_tech::Technology;
 
 use crate::artifact::{self, Repro};
 use crate::batch::{sanitize_name, BatchConfig};
 
-/// Embedder-side knobs for one [`solve_to_record`] call. The default is
-/// byte-identical to thread-mode batch behavior.
+/// Embedder-side knobs for one net. The default is what thread and
+/// process mode run with.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecOptions {
     /// Weakest-allowed ladder *entry* tier: every attempt enters at the
@@ -62,12 +72,201 @@ pub struct ExecOutcome {
     pub minimize: Option<(u64, Repro)>,
 }
 
+/// How one attempt ended, as [`NetRun::verdict`] sees it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum AttemptEnd {
+    /// The solver returned: the tier that served and the outcome hash.
+    Solved { tier: ServingTier, hash: u64 },
+    /// The watchdog abandoned the attempt.
+    TimedOut,
+}
+
+/// What follows one attempt.
+#[derive(Debug)]
+pub(crate) enum Verdict {
+    /// Run the next attempt after this backoff.
+    Retry(Duration),
+    /// The net is done: commit this record.
+    Terminal(JournalRecord),
+}
+
+/// One net under supervision: everything its attempts and verdicts read.
+pub(crate) struct NetRun<'a> {
+    pub(crate) net: &'a Net,
+    /// The net's batch index: its journal key and artifact name (0 for a
+    /// replay, which has no batch).
+    pub(crate) idx: u64,
+    pub(crate) tech: &'a Technology,
+    pub(crate) cfg: &'a BatchConfig,
+    pub(crate) opts: ExecOptions,
+}
+
+impl NetRun<'_> {
+    /// The wall-clock budget every attempt scales: the request override,
+    /// else the batch's.
+    fn budget_ms(&self) -> Option<u64> {
+        self.opts.budget_ms.or(self.cfg.budget_ms)
+    }
+
+    /// Runs attempt `attempt` (0-based) and returns the outcome with its
+    /// journal hash.
+    pub(crate) fn attempt(&self, attempt: u32) -> (ResilientOutcome, u64) {
+        let mut params = self.cfg.retry.params(attempt);
+        if let Some(floor) = self.opts.entry_floor {
+            // Strongest-first `Ord`: `max` picks the weaker tier, so a
+            // floor can only move the attempt *down* the ladder.
+            params.entry = params.entry.max(floor);
+        }
+        let budget = attempt_budget(self.budget_ms(), self.cfg.work_limit, params.budget_scale);
+        let flows_cfg = FlowsConfig::for_net_size(self.net.num_sinks());
+        let net_span = merlin_trace::span!("supervisor.net", self.idx);
+        let out = resilient_solve_attempt(self.net, self.tech, &flows_cfg, &budget, &params);
+        drop(net_span);
+        merlin_trace::counter("supervisor.attempts", 1);
+        let eval = &out.result.eval;
+        let hash = outcome_hash(
+            &self.net.name,
+            out.report.served,
+            eval.buffer_area,
+            eval.num_buffers,
+            eval.wirelength,
+            eval.delay_ps,
+        );
+        (out, hash)
+    }
+
+    /// Decides what follows attempt `attempt`, which ended as `end`;
+    /// `timeouts` is the net's watchdog fires so far, this one included.
+    /// A failed net's `.repro` is written before this returns; when
+    /// [`BatchConfig::minimize`] is set it is also queued on `deferred`
+    /// for [`minimize_deferred`]. Capture failures go to `warnings`.
+    pub(crate) fn verdict(
+        &self,
+        attempt: u32,
+        end: AttemptEnd,
+        timeouts: u32,
+        deferred: &mut Vec<(u64, Repro)>,
+        warnings: &mut Vec<String>,
+    ) -> Verdict {
+        let cfg = self.cfg;
+        let (tier, status, hash) = match end {
+            AttemptEnd::Solved { tier, hash } if tier <= cfg.accept_tier => {
+                (tier, RecordStatus::Served, hash)
+            }
+            _ if !cfg.retry.is_final(attempt) => {
+                merlin_trace::counter("supervisor.retry", 1);
+                match end {
+                    AttemptEnd::Solved { .. } => {
+                        merlin_trace::counter("supervisor.retry.degraded", 1)
+                    }
+                    AttemptEnd::TimedOut => merlin_trace::counter("supervisor.retry.timeout", 1),
+                }
+                let backoff = cfg.retry.backoff(attempt + 1);
+                merlin_trace::observe("supervisor.backoff.ms", backoff.as_millis() as u64);
+                return Verdict::Retry(backoff);
+            }
+            AttemptEnd::Solved { tier, .. } => (tier, RecordStatus::FailedDegraded, 0),
+            AttemptEnd::TimedOut => (ServingTier::DirectRoute, RecordStatus::FailedTimeout, 0),
+        };
+        if status != RecordStatus::Served {
+            self.capture(status, deferred, warnings);
+        }
+        Verdict::Terminal(JournalRecord {
+            idx: self.idx,
+            net: sanitize_name(&self.net.name),
+            tier,
+            attempts: attempt + 1,
+            timeouts,
+            status,
+            hash,
+        })
+    }
+
+    /// Writes the verbatim `.repro` for a net that failed with `cause`.
+    fn capture(
+        &self,
+        cause: RecordStatus,
+        deferred: &mut Vec<(u64, Repro)>,
+        warnings: &mut Vec<String>,
+    ) {
+        let cfg = self.cfg;
+        let Some(dir) = &cfg.artifacts_dir else {
+            return;
+        };
+        let repro = Repro {
+            cause,
+            accept_tier: cfg.accept_tier,
+            max_attempts: cfg.retry.max_attempts,
+            // The limits the attempts ran under, request overrides
+            // included, so a replay reproduces them.
+            budget_ms: self.budget_ms(),
+            work_limit: cfg.work_limit,
+            entry_floor: self.opts.entry_floor,
+            watchdog_ms: cfg.watchdog_limit.map(|d| d.as_millis() as u64),
+            chaos: cfg.fault.clone(),
+            net: self.net.clone(),
+        };
+        // The verbatim artifact lands on disk immediately, so a crash
+        // later in the run still leaves a usable repro behind.
+        match artifact::capture(dir, self.idx, &repro, self.tech, false) {
+            Ok(_) if cfg.minimize => deferred.push((self.idx, repro)),
+            Ok(_) => {}
+            Err(e) => warnings.push(format!(
+                "artifact capture for `{}` failed: {e}",
+                self.net.name
+            )),
+        }
+    }
+}
+
+/// Builds the budget for one attempt from the per-net limits and the
+/// attempt's [`merlin_resilience::AttemptParams::budget_scale`].
+fn attempt_budget(budget_ms: Option<u64>, work_limit: Option<u64>, scale: f64) -> SolveBudget {
+    // Retry ladders hand in small scale factors (~1x–4x), but the value
+    // ultimately comes from config; cap it so `mul_f64` can never hit the
+    // Duration overflow panic (the hazard `RetryPolicy::backoff` guards).
+    let scale = if scale.is_finite() { scale } else { 1.0 };
+    let mut budget = SolveBudget::unlimited();
+    if let Some(ms) = budget_ms {
+        budget = budget.and_deadline(Duration::from_millis(ms).mul_f64(scale.clamp(0.0, 1024.0)));
+    }
+    if let Some(limit) = work_limit {
+        budget = budget.and_work_limit(((limit as f64) * scale).floor().max(1.0) as u64);
+    }
+    budget
+}
+
+/// Minimizes the repros that failed nets queued, each overwriting the
+/// verbatim artifact written when its net failed. Minimization replays
+/// up to `max_attempts` solves per sink-removal probe, so every mode runs
+/// it once its nets are committed, out of the supervision loop.
+pub(crate) fn minimize_deferred(
+    cfg: &BatchConfig,
+    tech: &Technology,
+    deferred: &[(u64, Repro)],
+    warnings: &mut Vec<String>,
+) {
+    let Some(dir) = &cfg.artifacts_dir else {
+        return;
+    };
+    for (idx, repro) in deferred {
+        if let Err(e) = artifact::capture(dir, *idx, repro, tech, true) {
+            warnings.push(format!(
+                "artifact minimization for `{}` failed: {e}",
+                repro.net.name
+            ));
+        }
+    }
+}
+
 /// Runs `net` through the retry ladder to a terminal record.
 ///
 /// `backoff_sleep` is called between attempts with the policy's backoff
 /// for the *next* attempt; the caller decides how to wait (the process
-/// worker interleaves heartbeats, the server just sleeps). Per-net solve
-/// failures are records, not errors, so this function is infallible.
+/// worker interleaves heartbeats, the server just sleeps). No watchdog
+/// runs here, so callers leave [`BatchConfig::watchdog_limit`] unset.
+/// Per-net solve failures are records, not errors, so this function is
+/// infallible; artifact capture failures are reported on stderr.
 pub fn solve_to_record(
     net: &Net,
     tech: &Technology,
@@ -76,94 +275,38 @@ pub fn solve_to_record(
     opts: &ExecOptions,
     backoff_sleep: &mut dyn FnMut(Duration),
 ) -> ExecOutcome {
-    let budget_ms = opts.budget_ms.or(cfg.budget_ms);
+    let run = NetRun {
+        net,
+        idx,
+        tech,
+        cfg,
+        opts: *opts,
+    };
+    let mut deferred = Vec::new();
+    let mut warnings = Vec::new();
     let mut attempt = 0u32;
     loop {
-        let mut params = cfg.retry.params(attempt);
-        params.threads = cfg.threads;
-        params.load_quant = cfg.load_quant;
-        if let Some(floor) = opts.entry_floor {
-            // Strongest-first `Ord`: `max` picks the weaker tier, so a
-            // shed entry can only move the attempt *down* the ladder.
-            params.entry = params.entry.max(floor);
-        }
-        let budget = artifact::attempt_budget(budget_ms, cfg.work_limit, params.budget_scale);
-        let flows_cfg = FlowsConfig::for_net_size(net.num_sinks());
-        let net_span = merlin_trace::span!("supervisor.net", idx);
-        let out = resilient_solve_attempt(net, tech, &flows_cfg, &budget, &params);
-        drop(net_span);
-        merlin_trace::counter("supervisor.attempts", 1);
-        let tier = out.report.served;
-        let eval = &out.result.eval;
-        let hash = outcome_hash(
-            &net.name,
-            tier,
-            eval.buffer_area,
-            eval.num_buffers,
-            eval.wirelength,
-            eval.delay_ps,
-        );
-        if tier <= cfg.accept_tier {
-            return ExecOutcome {
-                record: JournalRecord {
-                    idx,
-                    net: sanitize_name(&net.name),
-                    tier,
-                    attempts: attempt + 1,
-                    timeouts: 0,
-                    status: RecordStatus::Served,
-                    hash,
-                },
-                result: out.result,
-                minimize: None,
-            };
-        }
-        if cfg.retry.is_final(attempt) {
-            let mut minimize = None;
-            if let Some(dir) = &cfg.artifacts_dir {
-                let repro = Repro {
-                    cause: RecordStatus::FailedDegraded,
-                    accept_tier: cfg.accept_tier,
-                    max_attempts: cfg.retry.max_attempts,
-                    // The budget the attempts ran under, request override
-                    // included, so a replay reproduces the same limits.
-                    budget_ms,
-                    work_limit: cfg.work_limit,
-                    watchdog_ms: None,
-                    chaos: cfg.fault.clone(),
-                    net: net.clone(),
-                };
-                match artifact::capture(dir, idx, &repro, tech, false) {
-                    Ok(_) if cfg.minimize => minimize = Some((idx, repro)),
-                    Ok(_) => {}
-                    Err(e) => {
-                        eprintln!(
-                            "merlin-supervisor: artifact capture for `{}`: {e}",
-                            net.name
-                        );
-                    }
-                }
+        let (out, hash) = run.attempt(attempt);
+        let end = AttemptEnd::Solved {
+            tier: out.report.served,
+            hash,
+        };
+        match run.verdict(attempt, end, 0, &mut deferred, &mut warnings) {
+            Verdict::Retry(backoff) => {
+                attempt += 1;
+                backoff_sleep(backoff);
             }
-            return ExecOutcome {
-                record: JournalRecord {
-                    idx,
-                    net: sanitize_name(&net.name),
-                    tier,
-                    attempts: attempt + 1,
-                    timeouts: 0,
-                    status: RecordStatus::FailedDegraded,
-                    hash: 0,
-                },
-                result: out.result,
-                minimize,
-            };
+            Verdict::Terminal(record) => {
+                for warning in &warnings {
+                    eprintln!("merlin-supervisor: {warning}");
+                }
+                return ExecOutcome {
+                    record,
+                    result: out.result,
+                    minimize: deferred.pop(),
+                };
+            }
         }
-        merlin_trace::counter("supervisor.retry", 1);
-        merlin_trace::counter("supervisor.retry.degraded", 1);
-        attempt += 1;
-        let backoff = cfg.retry.backoff(attempt);
-        merlin_trace::observe("supervisor.backoff.ms", backoff.as_millis() as u64);
-        backoff_sleep(backoff);
     }
 }
 
@@ -241,11 +384,14 @@ mod tests {
         assert_eq!(backoffs, cfg.retry.max_attempts - 1);
         assert_eq!(out.record.hash, 0);
         // The repro carries the budget the attempts ran under, not the
-        // (unlimited) config default.
+        // (unlimited) config default, and the shed entry floor.
         let text = std::fs::read_to_string(dir.join("3-exec2.repro")).expect("artifact written");
         let repro = artifact::parse_repro(&text).expect("artifact parses");
         assert_eq!(repro.budget_ms, Some(600_000));
         assert_eq!(cfg.budget_ms, None);
+        assert_eq!(repro.entry_floor, Some(ServingTier::LttreePtree));
+        // So the failure reproduces: replay enters at the floor too.
+        assert!(artifact::replay(&repro, &tech).failed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

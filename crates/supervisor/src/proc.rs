@@ -54,7 +54,7 @@ use merlin_tech::Technology;
 
 use crate::artifact::{self, Repro};
 use crate::batch::{sanitize_name, validate_records, BatchConfig, BatchError};
-use crate::exec::{solve_to_record, ExecOptions};
+use crate::exec::{minimize_deferred, solve_to_record, ExecOptions};
 use crate::heartbeat::{Heartbeat, DRAIN_COMMAND};
 use crate::journal::{
     load_journal, merge_segments, population_hash, quarantine_segment_path, segment_path,
@@ -408,9 +408,10 @@ fn torn_commit_abort(segment: &Path, rec: &JournalRecord) -> ! {
 }
 
 /// The worker-subprocess body: derive the pending set from the on-disk
-/// segments, solve this shard's slice with the same retry ladder as
-/// thread mode, journal each terminal record into the shard's own
-/// segment, and speak the heartbeat protocol on `hb_out`.
+/// segments, solve this shard's slice through [`solve_to_record`] (the
+/// attempt and verdict functions thread mode calls too), journal each
+/// terminal record into the shard's own segment, and speak the heartbeat
+/// protocol on `hb_out`.
 ///
 /// Factored over `hb_out`/`drain` (instead of stdout and the process
 /// drain flag) so tests can drive it in-process.
@@ -511,9 +512,6 @@ pub fn run_worker(
                 thread::sleep(ALIVE_SLICE);
             }
         }
-        // The shared execution engine mirrors thread mode byte for byte
-        // (same params, budgets, hashes), which is what makes a resumed
-        // process-mode report byte-identical to a thread-mode run.
         let outcome = solve_to_record(
             net,
             tech,
@@ -546,18 +544,12 @@ pub fn run_worker(
         );
     }
 
-    // Minimization replays solves; deferring it past the shard loop
-    // keeps it out of the heartbeat-observed hot path (same policy as
-    // thread mode).
-    if let Some(dir) = &cfg.artifacts_dir {
-        for (idx, repro) in &deferred_minimize {
-            if let Err(e) = artifact::capture(dir, *idx, repro, tech, true) {
-                eprintln!(
-                    "merlin-worker: artifact minimization for `{}`: {e}",
-                    repro.net.name
-                );
-            }
-        }
+    // Past the shard loop, so minimization stays out of the
+    // heartbeat-observed hot path.
+    let mut warnings = Vec::new();
+    minimize_deferred(cfg, tech, &deferred_minimize, &mut warnings);
+    for warning in &warnings {
+        eprintln!("merlin-worker: {warning}");
     }
 
     writer
@@ -716,6 +708,7 @@ fn quarantine(
             max_attempts: cfg.retry.max_attempts,
             budget_ms: cfg.budget_ms,
             work_limit: cfg.work_limit,
+            entry_floor: None,
             watchdog_ms: Some(net_limit.as_millis() as u64),
             chaos: cfg.fault.clone(),
             net: net.clone(),
@@ -1201,10 +1194,33 @@ mod tests {
     fn sharded_workers_merge_byte_identical_to_thread_mode() {
         let dir = tmp_dir("merge-vs-thread");
         let tech = Technology::synthetic_035();
-        let nets = small_batch(6);
+        let mut nets = small_batch(6);
+        // An invalid net (duplicate sinks) only the direct route serves:
+        // under a flow-II acceptance tier it retries and then fails, so
+        // the retry and failure paths are compared too, not just
+        // first-try serves.
+        let dup = merlin_geom::Point::new(50, 50);
+        let sink = merlin_netlist::Sink::new(dup, merlin_tech::units::Cap::from_ff(10.0), 500.0);
+        let bad = Net::new(
+            "dup-sink",
+            merlin_geom::Point::new(0, 0),
+            merlin_tech::Driver::default(),
+            vec![sink.clone(), sink],
+        );
+        nets.insert(2, bad);
         let cfg = BatchConfig {
             jobs: 1,
+            accept_tier: ServingTier::LttreePtree,
+            retry: RetryPolicy {
+                base_backoff: Duration::ZERO,
+                ..RetryPolicy::default()
+            },
             ..BatchConfig::default()
+        };
+        let proc_arts = dir.join("proc-artifacts");
+        let proc_cfg = BatchConfig {
+            artifacts_dir: Some(proc_arts.clone()),
+            ..cfg.clone()
         };
         let proc_journal = dir.join("proc.journal");
         let drain = AtomicBool::new(false);
@@ -1216,15 +1232,28 @@ mod tests {
                 trace_wire: false,
             };
             let mut out = Vec::new();
-            run_worker(&nets, &tech, &cfg, &opts, &mut out, &drain).expect("worker runs");
+            run_worker(&nets, &tech, &proc_cfg, &opts, &mut out, &drain).expect("worker runs");
         }
         let segments = segment_paths(&proc_journal).expect("list segments");
         assert_eq!(segments.len(), 3);
         let merged = merge_segments(&segments).expect("merge");
         let proc_report = BatchReport::from_merged(merged, nets.len());
-        let thread_report = run_batch(nets, &tech, &cfg, &dir.join("thread.journal"))
+        let thread_arts = dir.join("thread-artifacts");
+        let thread_cfg = BatchConfig {
+            artifacts_dir: Some(thread_arts.clone()),
+            ..cfg
+        };
+        let thread_report = run_batch(nets, &tech, &thread_cfg, &dir.join("thread.journal"))
             .expect("thread-mode batch runs");
-        assert_eq!(proc_report.render(), thread_report.render());
+        let rendered = thread_report.render();
+        assert!(rendered.contains("retries: 2\n"), "{rendered}");
+        assert!(
+            rendered.contains("retry-causes: timeout=0 degraded=2\n"),
+            "{rendered}"
+        );
+        assert_eq!(proc_report.render(), rendered);
+        let read = |dir: &Path| std::fs::read(dir.join("2-dup-sink.repro")).expect("artifact");
+        assert_eq!(read(&proc_arts), read(&thread_arts));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

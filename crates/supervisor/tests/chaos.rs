@@ -130,6 +130,7 @@ fn replay_restores_the_callers_fault_registry() {
         max_attempts: 2,
         budget_ms: None,
         work_limit: None,
+        entry_floor: None,
         watchdog_ms: None,
         chaos,
         net: random_net("hygiene", 4, 11, &tech),

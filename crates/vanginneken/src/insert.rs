@@ -217,7 +217,7 @@ impl<'a> VanGinneken<'a> {
             }
         }
         additions.prune();
-        out.absorb(additions);
+        out.absorb(&additions);
         out
     }
 }

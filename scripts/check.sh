@@ -289,23 +289,27 @@ EOF
 }
 
 stage_perfbench() {
-  echo "== perfbench (benchmark suite + a short solve-seq run) =="
+  echo "== perfbench (benchmark suite + short solve-seq and batch-4sink runs) =="
   # perfbench is its own cargo workspace on the library crates' public
   # API, so nothing else here builds it: run its tests, then one short
-  # seeded solve-seq run, whose output checks make it exit non-zero if
-  # any solve is wrong.
+  # seeded run of solve-seq and of batch-4sink. Their output checks make
+  # them exit non-zero if any solve is wrong; batch-4sink also puts its
+  # nets through run_batch and `merlin_cli batch --isolation process`
+  # and byte-compares the two reports.
   cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
-  cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-    --workload solve-seq --seed 1 --seconds 4 --trace 0 > "$SUPTMP/perfbench.txt" || {
-    echo "perfbench: solve-seq run failed:" >&2
-    cat "$SUPTMP/perfbench.txt" >&2
-    exit 1
-  }
-  tail -n 1 "$SUPTMP/perfbench.txt" | grep -q '"correct": true' || {
-    echo "perfbench: solve-seq reported a wrong result:" >&2
-    tail -n 1 "$SUPTMP/perfbench.txt" >&2
-    exit 1
-  }
+  for workload in solve-seq batch-4sink; do
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seed 1 --seconds 4 --trace 0 > "$SUPTMP/perfbench.txt" || {
+      echo "perfbench: $workload run failed:" >&2
+      cat "$SUPTMP/perfbench.txt" >&2
+      exit 1
+    }
+    tail -n 1 "$SUPTMP/perfbench.txt" | grep -q '"correct": true' || {
+      echo "perfbench: $workload reported a wrong result:" >&2
+      tail -n 1 "$SUPTMP/perfbench.txt" >&2
+      exit 1
+    }
+  done
 }
 
 stage_server_chaos() {

@@ -37,7 +37,7 @@ use merlin::Constraint;
 use merlin_flows::{flow1, flow2, flow3, FlowsConfig};
 use merlin_netlist::bench_nets::random_net;
 use merlin_netlist::{io, Net};
-use merlin_resilience::{RetryPolicy, ServingTier};
+use merlin_resilience::ServingTier;
 use merlin_supervisor::{
     arm_chaos_spec, parse_repro, replay, run_batch, run_batch_proc, run_worker, BatchConfig,
     ProcConfig, WorkerOptions,
@@ -69,7 +69,9 @@ solve flags:
   --req-target ps      MERLIN variant II: min area meeting required time
   --threads N          intra-net DP worker threads for BUBBLE_CONSTRUCT
                        (0 = one per core; default 1 = sequential); the
-                       result is identical at any thread count
+                       result is identical at any thread count, but on
+                       small nets the extra threads cost more than they
+                       save
   --load-quant Q       post-prune load-quantization dial: curve points in
                        the same Q-wide load bucket compete as equals
                        (1 = exact, the default; larger = faster, coarser)
@@ -86,12 +88,6 @@ batch/resume flags (defaults in parentheses):
   --sinks S            sinks per generated net (8)
   --seed K             base seed for generated nets (1)
   --jobs J             worker threads (available CPU parallelism)
-  --threads N          intra-net DP threads per solve attempt (0 = keep
-                       the sequential per-net default); keep jobs ×
-                       threads at or below the core count
-  --load-quant Q       post-prune load-quantization dial for every solve
-                       attempt (0 = keep the exact per-net default;
-                       larger = faster, coarser curves)
   --budget-ms MS       cooperative per-net wall-clock budget (none)
   --work-limit W       cooperative per-net DP work limit (none)
   --max-retries R      retries after each net's first attempt (2)
@@ -138,8 +134,6 @@ serve flags (defaults in parentheses):
   --capacity N         job-queue admission bound (64); a full queue
                        rejects submits with a typed `overloaded` response
   --jobs J             solver worker threads (1)
-  --threads N          intra-net DP threads per solve (0 = sequential)
-  --load-quant Q       post-prune load-quantization dial (0 = exact)
   --budget-ms MS       per-net wall-clock budget; request deadlines can
                        only tighten it, never loosen it (none)
   --work-limit W       cooperative per-net DP work limit (none)
@@ -283,6 +277,84 @@ impl TraceOpts {
             );
         }
         Ok(())
+    }
+}
+
+/// The solve-policy flags that `batch`/`resume`, `worker` and `serve`
+/// share, parsed onto a [`BatchConfig`]. A process-mode parent writes
+/// them back onto its workers' argv, so every worker solves under the
+/// parent's policy.
+#[derive(Default)]
+struct PolicyOpts {
+    /// The raw `--chaos` specs, re-encoded verbatim onto worker argv.
+    chaos: Vec<String>,
+}
+
+impl PolicyOpts {
+    /// Consumes a policy flag from the cursor into `cfg`. Returns `None`
+    /// when `arg` is not a policy flag (so the caller falls through to
+    /// its own).
+    fn consume(
+        &mut self,
+        arg: &str,
+        args: &mut Args,
+        cfg: &mut BatchConfig,
+    ) -> Option<Result<(), String>> {
+        let parsed = match arg {
+            "--budget-ms" => args.parsed(arg).map(|v| cfg.budget_ms = Some(v)),
+            "--work-limit" => args.parsed(arg).map(|v| cfg.work_limit = Some(v)),
+            "--max-retries" => args
+                .parsed(arg)
+                .map(|v: u32| cfg.retry.max_attempts = v.saturating_add(1)),
+            "--accept-tier" => args.value_for(arg).and_then(|v| {
+                ServingTier::parse(&v)
+                    .map(|t| cfg.accept_tier = t)
+                    .ok_or_else(|| format!("unknown tier `{v}`"))
+            }),
+            "--artifacts" => args
+                .value_for(arg)
+                .map(|v| cfg.artifacts_dir = Some(v.into())),
+            "--chaos" => {
+                args.value_for(arg)
+                    .and_then(|v| match arm_chaos_spec(&mut cfg.fault, &v) {
+                        Ok(true) => {
+                            self.chaos.push(v);
+                            Ok(())
+                        }
+                        Ok(false) => Err("this build has no fault-injection support; rebuild \
+                                      with `--features fault-inject` to use --chaos"
+                            .to_owned()),
+                        Err(e) => Err(e.to_string()),
+                    })
+            }
+            _ => return None,
+        };
+        Some(parsed)
+    }
+
+    /// Writes the policy in `cfg` onto a worker's argv.
+    fn push_args(&self, cfg: &BatchConfig, argv: &mut Vec<String>) {
+        let mut push = |flag: &str, value: String| {
+            argv.push(flag.to_owned());
+            argv.push(value);
+        };
+        if let Some(ms) = cfg.budget_ms {
+            push("--budget-ms", ms.to_string());
+        }
+        if let Some(w) = cfg.work_limit {
+            push("--work-limit", w.to_string());
+        }
+        push(
+            "--max-retries",
+            cfg.retry.max_attempts.saturating_sub(1).to_string(),
+        );
+        push("--accept-tier", cfg.accept_tier.to_string());
+        if let Some(dir) = &cfg.artifacts_dir {
+            push("--artifacts", dir.display().to_string());
+        }
+        for spec in &self.chaos {
+            push("--chaos", spec.clone());
+        }
     }
 }
 
@@ -484,22 +556,20 @@ fn cmd_batch(mut args: Args, require_journal: bool) -> ExitCode {
     let mut report_path: Option<PathBuf> = None;
     let mut cfg = BatchConfig {
         artifacts_dir: Some(PathBuf::from("artifacts")),
-        retry: RetryPolicy {
-            max_attempts: 3, // --max-retries 2 + the first attempt
-            ..RetryPolicy::default()
-        },
         ..BatchConfig::default()
     };
     let mut trace_opts = TraceOpts::default();
-    // Process-isolation state. `chaos_specs` keeps the raw --chaos
-    // arguments so they can be re-encoded verbatim onto worker argv.
+    let mut policy = PolicyOpts::default();
+    // Process-isolation state.
     let mut process_mode = false;
     let mut shards = 2u32;
     let mut worker_net_ms: Option<u64> = None;
     let mut poison_k: Option<u32> = None;
-    let mut chaos_specs: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
-        if let Some(result) = trace_opts.consume(&arg, &mut args) {
+        if let Some(result) = trace_opts
+            .consume(&arg, &mut args)
+            .or_else(|| policy.consume(&arg, &mut args, &mut cfg))
+        {
             if let Err(e) = result {
                 return fail(e);
             }
@@ -510,45 +580,13 @@ fn cmd_batch(mut args: Args, require_journal: bool) -> ExitCode {
             "--sinks" => args.parsed("--sinks").map(|v| sinks = v),
             "--seed" => args.parsed("--seed").map(|v| seed = v),
             "--jobs" => args.parsed("--jobs").map(|v: usize| cfg.jobs = v.max(1)),
-            "--threads" => args.parsed("--threads").map(|v: usize| cfg.threads = v),
-            "--load-quant" => args.parsed("--load-quant").map(|v: u32| cfg.load_quant = v),
-            "--budget-ms" => args.parsed("--budget-ms").map(|v| cfg.budget_ms = Some(v)),
-            "--work-limit" => args
-                .parsed("--work-limit")
-                .map(|v| cfg.work_limit = Some(v)),
-            "--max-retries" => args
-                .parsed("--max-retries")
-                .map(|v: u32| cfg.retry.max_attempts = v + 1),
-            "--accept-tier" => args.value_for("--accept-tier").and_then(|v| {
-                ServingTier::parse(&v)
-                    .map(|t| cfg.accept_tier = t)
-                    .ok_or_else(|| format!("unknown tier `{v}`"))
-            }),
             "--watchdog-ms" => args
                 .parsed("--watchdog-ms")
                 .map(|v: u64| cfg.watchdog_limit = Some(Duration::from_millis(v))),
             "--journal" => args.value_for("--journal").map(|v| journal = v.into()),
-            "--artifacts" => args
-                .value_for("--artifacts")
-                .map(|v| cfg.artifacts_dir = Some(v.into())),
             "--no-minimize" => {
                 cfg.minimize = false;
                 Ok(())
-            }
-            "--chaos" => {
-                args.value_for("--chaos")
-                    .and_then(|v| match arm_chaos_spec(&mut cfg.fault, &v) {
-                        Ok(true) => {
-                            chaos_specs.push(v);
-                            Ok(())
-                        }
-                        Ok(false) => {
-                            Err("this build has no fault-injection support; rebuild with \
-                         `--features fault-inject` to use --chaos"
-                                .to_owned())
-                        }
-                        Err(e) => Err(e.to_string()),
-                    })
             }
             "--crash-after" => args
                 .parsed("--crash-after")
@@ -649,43 +687,18 @@ fn cmd_batch(mut args: Args, require_journal: bool) -> ExitCode {
         // SIGTERM/SIGKILL ladder, not an abandoned thread), --jobs (each
         // worker solves its shard sequentially).
         let mut worker_args: Vec<String> = files.clone();
-        let push_kv = |wa: &mut Vec<String>, k: &str, v: String| {
-            wa.push(k.to_owned());
-            wa.push(v);
-        };
-        push_kv(&mut worker_args, "--gen", gen.to_string());
-        push_kv(&mut worker_args, "--sinks", sinks.to_string());
-        push_kv(&mut worker_args, "--seed", seed.to_string());
-        if let Some(ms) = cfg.budget_ms {
-            push_kv(&mut worker_args, "--budget-ms", ms.to_string());
+        let population = [
+            ("--gen", gen.to_string()),
+            ("--sinks", sinks.to_string()),
+            ("--seed", seed.to_string()),
+        ];
+        for (flag, value) in population {
+            worker_args.push(flag.to_owned());
+            worker_args.push(value);
         }
-        if let Some(w) = cfg.work_limit {
-            push_kv(&mut worker_args, "--work-limit", w.to_string());
-        }
-        push_kv(
-            &mut worker_args,
-            "--max-retries",
-            cfg.retry.max_attempts.saturating_sub(1).to_string(),
-        );
-        push_kv(
-            &mut worker_args,
-            "--accept-tier",
-            cfg.accept_tier.to_string(),
-        );
-        if let Some(dir) = &cfg.artifacts_dir {
-            push_kv(&mut worker_args, "--artifacts", dir.display().to_string());
-        }
+        policy.push_args(&cfg, &mut worker_args);
         if !cfg.minimize {
             worker_args.push("--no-minimize".to_owned());
-        }
-        if cfg.threads != 0 {
-            push_kv(&mut worker_args, "--threads", cfg.threads.to_string());
-        }
-        if cfg.load_quant != 0 {
-            push_kv(&mut worker_args, "--load-quant", cfg.load_quant.to_string());
-        }
-        for spec in &chaos_specs {
-            push_kv(&mut worker_args, "--chaos", spec.clone());
         }
         if trace_opts.active() {
             worker_args.push("--trace-wire".to_owned());
@@ -778,45 +791,24 @@ fn cmd_worker(mut args: Args) -> ExitCode {
     let mut ignore_term = false;
     let mut cfg = BatchConfig {
         artifacts_dir: Some(PathBuf::from("artifacts")),
-        retry: RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        },
         ..BatchConfig::default()
     };
+    let mut policy = PolicyOpts::default();
     while let Some(arg) = args.next() {
+        if let Some(result) = policy.consume(&arg, &mut args, &mut cfg) {
+            if let Err(e) = result {
+                return fail(e);
+            }
+            continue;
+        }
         let parsed: Result<(), String> = match arg.as_str() {
             "--gen" => args.parsed("--gen").map(|v| gen = v),
             "--sinks" => args.parsed("--sinks").map(|v| sinks = v),
             "--seed" => args.parsed("--seed").map(|v| seed = v),
-            "--threads" => args.parsed("--threads").map(|v: usize| cfg.threads = v),
-            "--load-quant" => args.parsed("--load-quant").map(|v: u32| cfg.load_quant = v),
-            "--budget-ms" => args.parsed("--budget-ms").map(|v| cfg.budget_ms = Some(v)),
-            "--work-limit" => args
-                .parsed("--work-limit")
-                .map(|v| cfg.work_limit = Some(v)),
-            "--max-retries" => args
-                .parsed("--max-retries")
-                .map(|v: u32| cfg.retry.max_attempts = v + 1),
-            "--accept-tier" => args.value_for("--accept-tier").and_then(|v| {
-                ServingTier::parse(&v)
-                    .map(|t| cfg.accept_tier = t)
-                    .ok_or_else(|| format!("unknown tier `{v}`"))
-            }),
             "--journal" => args.value_for("--journal").map(|v| journal = v.into()),
-            "--artifacts" => args
-                .value_for("--artifacts")
-                .map(|v| cfg.artifacts_dir = Some(v.into())),
             "--no-minimize" => {
                 cfg.minimize = false;
                 Ok(())
-            }
-            "--chaos" => {
-                args.value_for("--chaos")
-                    .and_then(|v| match arm_chaos_spec(&mut cfg.fault, &v) {
-                        Ok(_) => Ok(()),
-                        Err(e) => Err(e.to_string()),
-                    })
             }
             "--shard" => args.parsed("--shard").map(|v: u32| shard = v),
             "--shards" => args.parsed("--shards").map(|v: u32| shards = v.max(1)),
@@ -1012,10 +1004,6 @@ fn cmd_serve(mut args: Args) -> ExitCode {
     let mut cfg = merlin_server::ServerConfig {
         batch: BatchConfig {
             artifacts_dir: Some(PathBuf::from("artifacts")),
-            retry: RetryPolicy {
-                max_attempts: 3,
-                ..RetryPolicy::default()
-            },
             jobs: 1,
             // The daemon has no post-batch minimization pass.
             minimize: false,
@@ -1023,7 +1011,14 @@ fn cmd_serve(mut args: Args) -> ExitCode {
         },
         ..merlin_server::ServerConfig::default()
     };
+    let mut policy = PolicyOpts::default();
     while let Some(arg) = args.next() {
+        if let Some(result) = policy.consume(&arg, &mut args, &mut cfg.batch) {
+            if let Err(e) = result {
+                return fail(e);
+            }
+            continue;
+        }
         let parsed: Result<(), String> = match arg.as_str() {
             "--addr" => args.value_for("--addr").map(|v| cfg.addr = v),
             "--data-dir" => args
@@ -1033,44 +1028,12 @@ fn cmd_serve(mut args: Args) -> ExitCode {
             "--jobs" => args
                 .parsed("--jobs")
                 .map(|v: usize| cfg.batch.jobs = v.max(1)),
-            "--threads" => args
-                .parsed("--threads")
-                .map(|v: usize| cfg.batch.threads = v),
-            "--load-quant" => args
-                .parsed("--load-quant")
-                .map(|v: u32| cfg.batch.load_quant = v),
-            "--budget-ms" => args
-                .parsed("--budget-ms")
-                .map(|v| cfg.batch.budget_ms = Some(v)),
-            "--work-limit" => args
-                .parsed("--work-limit")
-                .map(|v| cfg.batch.work_limit = Some(v)),
-            "--max-retries" => args
-                .parsed("--max-retries")
-                .map(|v: u32| cfg.batch.retry.max_attempts = v + 1),
-            "--accept-tier" => args.value_for("--accept-tier").and_then(|v| {
-                ServingTier::parse(&v)
-                    .map(|t| cfg.batch.accept_tier = t)
-                    .ok_or_else(|| format!("unknown tier `{v}`"))
-            }),
-            "--artifacts" => args
-                .value_for("--artifacts")
-                .map(|v| cfg.batch.artifacts_dir = Some(v.into())),
             "--capture-traces" => args
                 .parsed("--capture-traces")
                 .map(|v| cfg.capture_traces = v),
             "--watch-buffer" => args
                 .parsed("--watch-buffer")
                 .map(|v: usize| cfg.watch_buffer = v.max(1)),
-            "--chaos" => args.value_for("--chaos").and_then(|v| {
-                match arm_chaos_spec(&mut cfg.batch.fault, &v) {
-                    Ok(true) => Ok(()),
-                    Ok(false) => Err("this build has no fault-injection support; rebuild \
-                                          with `--features fault-inject` to use --chaos"
-                        .to_owned()),
-                    Err(e) => Err(e.to_string()),
-                }
-            }),
             other => Err(format!("unknown serve flag {other}")),
         };
         if let Err(e) = parsed {
