@@ -7,7 +7,7 @@
 //! lexer is *lossless*: every byte of the input belongs to exactly one
 //! token, so concatenating the lexemes reproduces the source verbatim.
 //! That property is what the round-trip proptests pin, and it is what
-//! makes line/column attribution exact for findings and fingerprints.
+//! makes line attribution exact for findings.
 //!
 //! The lexer never fails: malformed input (an unterminated string, a stray
 //! byte) degrades to [`TokKind::Unknown`] or an unterminated literal token

@@ -1,30 +1,29 @@
-//! Workspace invariant auditor — token-level semantic analysis engine.
+//! Workspace invariant auditor — the project's own rules.
 //!
 //! A dependency-free analysis pass over the workspace's Rust sources. A
-//! hand-rolled lossless lexer ([`lexer`]) feeds a token-stream rule
-//! framework ([`rules`]) with expression-window matching, per-rule
-//! severity, fingerprinted baselines ([`engine`]) and machine-readable
-//! SARIF/JSON output ([`output`]).
+//! hand-rolled lossless lexer ([`lexer`]) feeds a rule pack ([`rules`])
+//! of line-pattern and token-window rules; [`engine`] holds the findings
+//! and the allow markers. Generic hygiene (no `unwrap`, no production
+//! `panic!`, lossy casts, undocumented items, the disallowed
+//! `catch_unwind`, `process::exit`, `f64::total_cmp` and `Rc`) is
+//! clippy's job: see `[workspace.lints]` in the root `Cargo.toml` and the
+//! root `clippy.toml`. What is left states invariants only this project
+//! has, plus `float-cmp`, which clippy cannot express.
 //!
 //! ## Rules
 //!
-//! The DP hot-path crates (`core`, `curves`, `ptree`, `lttree`,
+//! In the DP hot-path crates (`core`, `curves`, `ptree`, `lttree`,
 //! `vanginneken`, plus `trace`, whose RAII guards run inside every
-//! instrumented hot loop, and `audit` itself) are held to the full
-//! hygiene bar:
+//! instrumented hot loop, and `audit` itself):
 //!
-//! * `no-unwrap` — no `.unwrap()`; use `.expect("<why the invariant
-//!   holds>")` or real control flow,
 //! * `empty-expect` — `.expect("")` explains nothing,
-//! * `panic` — no `panic!` outside `#[cfg(test)]`,
-//! * `float-cmp` — no raw `partial_cmp` / `total_cmp` on delays; go
-//!   through `merlin_tech::units::ps_cmp` and friends,
 //! * `float-eq` — no `==` against float literals outside tests,
+//! * `float-cmp` — no raw `.partial_cmp(` call, tests included: order
+//!   delays through the `merlin_tech::units` helpers (clippy rejects the
+//!   `f64::total_cmp` half),
 //! * `push-without-prune` — a function that pushes `CurvePoint`s must
-//!   also reach a `prune()` call,
-//! * `doc-pub-fn` — every non-test `pub fn` carries a doc comment,
-//! * `lossy-cast` — `as` casts that can truncate (int narrowing,
-//!   float→int without an explicit `round`/`floor`/`ceil`/`clamp`).
+//!   also reach a `prune()` call (every curve operator ends in a
+//!   Definition-6 prune).
 //!
 //! Rules targeting the bug classes this repo has actually shipped:
 //!
@@ -39,42 +38,25 @@
 //!   tests included (the trace collector's fallible-TLS discipline),
 //! * `trace-name-registry` — every `merlin_trace` span/counter/histogram
 //!   name used in code appears in the `docs/OBSERVABILITY.md` registry
-//!   and vice versa,
-//! * `catch-unwind` — `catch_unwind` outside test code is forbidden
-//!   everywhere except `crates/resilience/`,
-//! * `no-rc-in-dp` — `std::rc::Rc` is not `Send`; the level-sharded
-//!   parallel DP crates (`core`, `curves`) must use `Arc`.
+//!   and vice versa.
 //!
-//! ## Allow escapes and the baseline ratchet
+//! ## Allow markers
 //!
-//! Any finding can be suppressed in place with `// audit:allow(<rule>)`
-//! on the offending line, the comment line above it, or above the
+//! A finding can be suppressed in place with `// audit:allow(<rule>)` on
+//! the offending line, the comment lines directly above it, or above the
 //! attribute stack (`#[derive(...)]`, `#[cfg(...)]`) of the offending
 //! item. A marker that suppresses nothing is itself a finding
-//! (`stale-allow`). Pre-existing findings live in a checked-in baseline
-//! (`audit-baseline.txt`) keyed by **fingerprint** — a hash of rule,
-//! path and the finding's local token context, stable across unrelated
-//! line shifts — so the baseline acts as a ratchet that may shrink but
-//! never silently grow. The legacy count-based baseline format is
-//! auto-migrated.
+//! (`stale-allow`). There is no baseline: any finding fails the audit.
 
 pub mod engine;
 pub mod lexer;
-pub mod output;
 pub mod rules;
 
-pub use engine::{
-    check_against_baseline, collect_allow_markers, fingerprint, fingerprint_context, fnv1a64,
-    format_baseline, parse_baseline, stamp_fingerprint, stamp_fingerprint_from_snippet,
-    AllowMarker, AuditOutcome, Baseline, Severity, Violation,
-};
+pub use engine::{collect_allow_markers, AllowMarker, Violation};
 pub use lexer::{lex, sanitize_source, TokKind, Token};
-pub use output::{json_report, sarif_report};
 pub use rules::{
-    is_dp_crate_path, is_trace_name_shaped, parse_trace_registry, rule_info, RuleInfo, ALL_RULES,
-    DP_CRATE_PREFIXES, RC_FORBIDDEN_PREFIXES, RESILIENCE_PREFIX, RULES, RULE_ATOMIC_ORDERING,
-    RULE_CATCH_UNWIND, RULE_DOC_PUB_FN, RULE_DURATION_ARITH, RULE_EMPTY_EXPECT, RULE_FLOAT_CMP,
-    RULE_FLOAT_EQ, RULE_LOSSY_CAST, RULE_NO_RAW_EXIT, RULE_NO_RC_IN_DP, RULE_NO_UNWRAP, RULE_PANIC,
+    is_dp_crate_path, is_trace_name_shaped, parse_trace_registry, DP_CRATE_PREFIXES,
+    RULE_ATOMIC_ORDERING, RULE_DURATION_ARITH, RULE_EMPTY_EXPECT, RULE_FLOAT_CMP, RULE_FLOAT_EQ,
     RULE_PANIC_IN_DROP, RULE_PUSH_WITHOUT_PRUNE, RULE_STALE_ALLOW, RULE_TRACE_NAME_REGISTRY,
     RULE_UNCHECKED_ARITH,
 };
@@ -86,7 +68,7 @@ use std::collections::BTreeSet;
 /// `files` holds `(workspace-relative path, source text)` pairs.
 /// `registry_doc`, when present, is the `(path, text)` of the
 /// observability catalog; it enables the global `trace-name-registry`
-/// rule. Findings come back allow-filtered, fingerprinted and sorted by
+/// rule. Findings come back allow-filtered and sorted by
 /// `(path, line, rule)`; unused `audit:allow` markers surface as
 /// `stale-allow` findings.
 pub fn audit_files(
@@ -96,7 +78,6 @@ pub fn audit_files(
     struct FileState<'a> {
         path: &'a str,
         src: &'a str,
-        tokens: Vec<Token>,
         markers: Vec<AllowMarker>,
         findings: Vec<Violation>,
     }
@@ -113,14 +94,12 @@ pub fn audit_files(
         let sanitized = sanitize_source(src);
         let code_lines: Vec<String> = sanitized.lines().map(str::to_owned).collect();
 
-        let (mut findings, in_test) = rules::legacy_line_rules(path, &raw_lines, &code_lines);
+        let (mut findings, in_test) = rules::line_rules(path, &raw_lines, &code_lines);
         let ctoks = rules::code_tokens(src, &tokens);
         rules::rule_unchecked_arith(path, &raw_lines, &ctoks, &in_test, &mut findings);
         rules::rule_duration_arith(path, &raw_lines, &ctoks, &in_test, &mut findings);
-        rules::rule_lossy_cast(path, &raw_lines, &ctoks, &in_test, &mut findings);
         rules::rule_atomic_ordering(path, &raw_lines, &ctoks, &in_test, &mut findings);
         rules::rule_panic_in_drop(path, &raw_lines, &ctoks, &mut findings);
-        rules::rule_no_raw_exit(path, &raw_lines, &ctoks, &in_test, &mut findings);
 
         if registry_doc.is_some() {
             if let Some(names) = rules::collect_trace_names(path, &ctoks, &in_test) {
@@ -136,7 +115,6 @@ pub fn audit_files(
         states.push(FileState {
             path,
             src,
-            tokens,
             markers,
             findings,
         });
@@ -155,53 +133,34 @@ pub fn audit_files(
                     path,
                     line: *line,
                     snippet: format!("trace name `{name}` missing from the registry"),
-                    severity: Severity::Error,
-                    fingerprint: String::new(),
                 });
             }
         }
         for (doc_line, name) in &registry {
             if !mentioned.contains(name) {
-                let mut v = Violation {
+                all.push(Violation {
                     rule: RULE_TRACE_NAME_REGISTRY,
                     path: doc_path.to_owned(),
                     line: *doc_line,
                     snippet: format!("registry name `{name}` is not emitted anywhere in code"),
-                    severity: Severity::Error,
-                    fingerprint: String::new(),
-                };
-                stamp_fingerprint_from_snippet(&mut v);
-                all.push(v);
+                });
             }
         }
     }
 
     for mut st in states {
         let raw_lines: Vec<&str> = st.src.lines().collect();
-        let mut kept: Vec<Violation> = Vec::new();
-        for v in st.findings.drain(..) {
+        for v in st.findings {
             if !engine::is_allowed(v.rule, &raw_lines, &mut st.markers, v.line) {
-                kept.push(v);
+                all.push(v);
             }
         }
-        for m in &st.markers {
-            if !m.used {
-                kept.push(Violation {
-                    rule: RULE_STALE_ALLOW,
-                    path: st.path.to_owned(),
-                    line: m.line,
-                    snippet: format!("audit:allow({}) suppresses nothing", m.rule),
-                    severity: Severity::Warning,
-                    fingerprint: String::new(),
-                });
-            }
-        }
-        for mut v in kept {
-            if v.fingerprint.is_empty() {
-                stamp_fingerprint(&mut v, st.src, &st.tokens);
-            }
-            all.push(v);
-        }
+        all.extend(st.markers.iter().filter(|m| !m.used).map(|m| Violation {
+            rule: RULE_STALE_ALLOW,
+            path: st.path.to_owned(),
+            line: m.line,
+            snippet: format!("audit:allow({}) suppresses nothing", m.rule),
+        }));
     }
 
     all.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
@@ -240,15 +199,15 @@ mod tests {
         assert!(scan_source("crates/trace/src/lib.rs", ok).is_empty());
         let bad = "impl Drop for SpanGuard {\n\
                    \x20   fn drop(&mut self) {\n\
-                   \x20       COLLECTOR.with(|c| c.borrow_mut()).unwrap();\n\
+                   \x20       COLLECTOR.with(|c| c.borrow_mut()).expect(\"\");\n\
                    \x20   }\n\
                    }\n";
-        // `no-unwrap` plus one `panic-in-drop` per panicking call
-        // (`with`, `borrow_mut`, `unwrap`).
+        // `empty-expect` plus one `panic-in-drop` per panicking call
+        // (`with`, `borrow_mut`, `expect`).
         assert_eq!(
             rules_of(&scan_source("crates/trace/src/lib.rs", bad)),
             vec![
-                RULE_NO_UNWRAP,
+                RULE_EMPTY_EXPECT,
                 RULE_PANIC_IN_DROP,
                 RULE_PANIC_IN_DROP,
                 RULE_PANIC_IN_DROP
@@ -257,93 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn rc_flagged_in_core_and_curves_only() {
-        for src in [
-            "use std::rc::Rc;\n",
-            "pub type CurveFam = Rc<Vec<Curve>>;\n",
-            "fn f() { let fam = Rc::new(Vec::new()); }\n",
-        ] {
-            assert_eq!(rules_of(&scan_source(DP, src)), vec![RULE_NO_RC_IN_DP]);
-            assert_eq!(
-                rules_of(&scan_source("crates/curves/src/fixture.rs", src)),
-                vec![RULE_NO_RC_IN_DP]
-            );
-            // Other DP crates keep their single-threaded engines; the
-            // Send-ness rule stops at the sharded ones.
-            assert!(scan_source("crates/ptree/src/fixture.rs", src).is_empty());
-            assert!(scan_source("crates/flows/src/fixture.rs", src).is_empty());
-        }
-        // Flagged in test code too: a test helper must not hand an Rc
-        // back into engine structures.
-        let test_src =
-            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::rc::Rc::new(3); }\n}\n";
-        assert_eq!(rules_of(&scan_source(DP, test_src)), vec![RULE_NO_RC_IN_DP]);
-    }
-
-    #[test]
-    fn rc_rule_ignores_arc_and_lookalikes() {
-        let src = "use std::sync::Arc;\n\
-                   fn f(c: &StarCache) -> Arc<Vec<Curve>> { Arc::new(vec![]) }\n\
-                   struct MyRc;\n\
-                   fn g(x: RcLike, y: MyRc) {}\n";
-        assert!(scan_source("crates/curves/src/fixture.rs", src).is_empty());
-    }
-
-    #[test]
-    fn rc_rule_allow_marker_suppresses() {
-        let src = "// audit:allow(no-rc-in-dp): doc example, never crosses a thread\n\
-                   use std::rc::Rc;\n";
-        assert!(scan_source(DP, src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_flagged_even_in_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { x.unwrap(); }\n}\n";
-        assert_eq!(rules_of(&scan_source(DP, src)), vec![RULE_NO_UNWRAP]);
-    }
-
-    #[test]
-    fn unwrap_in_string_not_flagged() {
-        let src = "fn f() { let m = \"please .unwrap() me\"; }\n";
-        assert!(scan_source(DP, src).is_empty());
-    }
-
-    #[test]
     fn non_dp_crate_is_exempt() {
-        let src = "fn f() { x.unwrap(); panic!(\"no\"); }\n";
+        let src = "fn f() { x.expect(\"\"); if y == 0.0 { z(); } a.partial_cmp(&b); }\n";
         assert!(scan_source("crates/geom/src/fixture.rs", src).is_empty());
-    }
-
-    #[test]
-    fn catch_unwind_flagged_everywhere_but_resilience() {
-        let src = "fn f() { let r = std::panic::catch_unwind(|| g()); }\n";
-        // Non-DP crate: the workspace-wide rule still fires there.
-        assert_eq!(
-            rules_of(&scan_source("crates/flows/src/fixture.rs", src)),
-            vec![RULE_CATCH_UNWIND]
-        );
-        // DP crate: fires alongside the usual hygiene rules.
-        assert_eq!(rules_of(&scan_source(DP, src)), vec![RULE_CATCH_UNWIND]);
-        // The sanctioned panic boundary is exempt.
-        assert!(scan_source("crates/resilience/src/isolate.rs", src).is_empty());
-    }
-
-    #[test]
-    fn catch_unwind_allowed_in_test_code() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::panic::catch_unwind(|| g()); }\n}\n";
-        assert!(scan_source("crates/flows/src/fixture.rs", src).is_empty());
-        // Compound `#[cfg(all(test, ...))]` modules count as test code too.
-        let compound = "#[cfg(all(test, feature = \"fault-inject\"))]\nmod tests {\n    fn t() { let _ = std::panic::catch_unwind(|| g()); }\n}\n";
-        assert!(scan_source("crates/curves/src/fixture.rs", compound).is_empty());
-        // Integration-test files are test code in their entirety.
-        let plain = "fn t() { let _ = std::panic::catch_unwind(|| g()); }\n";
-        assert!(scan_source("crates/flows/tests/fixture.rs", plain).is_empty());
-    }
-
-    #[test]
-    fn catch_unwind_allow_marker_suppresses() {
-        let src = "fn f() { std::panic::catch_unwind(|| g()); } // audit:allow(catch-unwind)\n";
-        assert!(scan_source("crates/flows/src/fixture.rs", src).is_empty());
     }
 
     #[test]
@@ -359,20 +234,20 @@ mod tests {
     }
 
     #[test]
-    fn panic_flagged_outside_tests_only() {
-        let src = "fn f() { panic!(\"boom\"); }\n";
-        assert_eq!(rules_of(&scan_source(DP, src)), vec![RULE_PANIC]);
-        let test_src =
-            "#[cfg(test)]\nmod tests {\n    fn t() { panic!(\"expected in tests\"); }\n}\n";
-        assert!(scan_source(DP, test_src).is_empty());
+    fn empty_expect_in_string_not_flagged() {
+        let src = "fn f() { let m = \"please .expect(\\\"\\\") me\"; }\n";
+        assert!(scan_source(DP, src).is_empty());
     }
 
     #[test]
     fn float_cmp_flagged() {
         let src = "fn f() { a.partial_cmp(&b); }\n";
         assert_eq!(rules_of(&scan_source(DP, src)), vec![RULE_FLOAT_CMP]);
-        let src2 = "fn f() { a.total_cmp(&b); }\n";
-        assert_eq!(rules_of(&scan_source(DP, src2)), vec![RULE_FLOAT_CMP]);
+        let in_test =
+            "#[cfg(test)]\nmod tests {\n    fn t() { a.partial_cmp(&b).expect(\"finite\"); }\n}\n";
+        assert_eq!(rules_of(&scan_source(DP, in_test)), vec![RULE_FLOAT_CMP]);
+        let impl_src = "impl PartialOrd for P {\n    fn partial_cmp(&self, o: &Self) -> Option<Ordering> { None }\n}\n";
+        assert!(scan_source(DP, impl_src).is_empty());
     }
 
     #[test]
@@ -383,6 +258,8 @@ mod tests {
         assert_eq!(rules_of(&scan_source(DP, src2)), vec![RULE_FLOAT_EQ]);
         let int_src = "fn f() { if x == 0 { y(); } }\n";
         assert!(scan_source(DP, int_src).is_empty());
+        let test_src = "#[cfg(test)]\nmod tests {\n    fn t() { assert!(x == 0.0); }\n}\n";
+        assert!(scan_source(DP, test_src).is_empty());
     }
 
     #[test]
@@ -405,80 +282,60 @@ mod tests {
     fn push_in_test_code_ok() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t(c: &mut Curve) { c.push(CurvePoint::new(1, 2.0, 3, p)); }\n}\n";
         assert!(scan_source(DP, src).is_empty());
+        // Compound `#[cfg(all(test, ...))]` modules count as test code too.
+        let compound = "#[cfg(all(test, feature = \"fault-inject\"))]\nmod tests {\n    fn t(c: &mut Curve) { c.push(CurvePoint::new(1, 2.0, 3, p)); }\n}\n";
+        assert!(scan_source(DP, compound).is_empty());
     }
 
     #[test]
     fn integration_test_files_are_test_code() {
-        let src = "fn helper() { panic!(\"fine in tests\"); }\n\
+        let src = "fn helper() { assert!(x == 0.5); }\n\
                    #[test]\nfn t(c: &mut Curve) { c.push(CurvePoint::new(1, 2.0, 3, p)); }\n";
         assert!(scan_source("crates/curves/tests/props.rs", src).is_empty());
-        // ... but unwrap is still banned there.
-        let with_unwrap = "#[test]\nfn t() { x.unwrap(); }\n";
+        // ... but an empty expect is still flagged there.
+        let empty = "#[test]\nfn t() { x.expect(\"\"); }\n";
         assert_eq!(
-            rules_of(&scan_source("crates/curves/tests/props.rs", with_unwrap)),
-            vec![RULE_NO_UNWRAP]
+            rules_of(&scan_source("crates/curves/tests/props.rs", empty)),
+            vec![RULE_EMPTY_EXPECT]
         );
     }
 
     #[test]
-    fn undocumented_pub_fn_flagged() {
-        let src = "impl X {\n    pub fn naked(&self) {}\n}\n";
-        assert_eq!(rules_of(&scan_source(DP, src)), vec![RULE_DOC_PUB_FN]);
-    }
-
-    #[test]
-    fn documented_pub_fn_ok() {
-        let src =
-            "impl X {\n    /// Does the thing.\n    #[inline]\n    pub fn clothed(&self) {}\n}\n";
-        assert!(scan_source(DP, src).is_empty());
-    }
-
-    #[test]
-    fn private_fn_needs_no_doc() {
-        let src = "fn helper() {}\n";
-        assert!(scan_source(DP, src).is_empty());
-    }
-
-    #[test]
     fn allow_marker_suppresses_same_line_and_preceding_line() {
-        let same = "fn f() { x.unwrap(); } // audit:allow(no-unwrap)\n";
+        let same = "fn f() { x.expect(\"\"); } // audit:allow(empty-expect)\n";
         assert!(scan_source(DP, same).is_empty());
-        let above =
-            "// audit:allow(panic): unreachable by construction\nfn f() { panic!(\"no\"); }\n";
+        let above = "// audit:allow(float-eq): exact sentinel\nfn f() { if x == 0.0 { y(); } }\n";
         assert!(scan_source(DP, above).is_empty());
         // A marker for the wrong rule suppresses nothing: the original
         // finding survives and the marker is reported stale.
-        let wrong_rule = "// audit:allow(no-unwrap)\nfn f() { panic!(\"no\"); }\n";
+        let wrong_rule = "// audit:allow(empty-expect)\nfn f() { if x == 0.0 { y(); } }\n";
         assert_eq!(
             rules_of(&scan_source(DP, wrong_rule)),
-            vec![RULE_STALE_ALLOW, RULE_PANIC]
+            vec![RULE_STALE_ALLOW, RULE_FLOAT_EQ]
         );
     }
 
     #[test]
     fn allow_marker_respected_above_attribute_stack() {
-        let src = "// audit:allow(panic): fires only on poisoned state\n\
-                   #[derive(Debug)]\n\
+        let src = "// audit:allow(float-eq): exact sentinel\n\
+                   #[inline]\n\
                    #[cfg(feature = \"strict\")]\n\
-                   pub fn f() { panic!(\"poisoned\"); }\n";
+                   fn f() { if x == 0.0 { y(); } }\n";
         // The attribute stack sits between the marker and the finding
-        // line; the marker must still bind (and the undocumented pub fn
-        // is a separate finding).
-        let got = rules_of(&scan_source(DP, src));
-        assert!(!got.contains(&RULE_PANIC), "got {got:?}");
-        assert!(!got.contains(&RULE_STALE_ALLOW), "got {got:?}");
+        // line; the marker must still bind.
+        assert!(scan_source(DP, src).is_empty());
     }
 
     #[test]
     fn stale_allow_reported_for_unused_marker() {
-        let src = "// audit:allow(no-unwrap): removed long ago\nfn f() { let x = 1; }\n";
+        let src = "// audit:allow(float-eq): removed long ago\nfn f() { let x = 1; }\n";
         let got = scan_source(DP, src);
         assert_eq!(rules_of(&got), vec![RULE_STALE_ALLOW]);
         assert_eq!(got[0].line, 1);
     }
 
     #[test]
-    fn new_rules_fire_through_scan_source() {
+    fn token_rules_fire_through_scan_source() {
         let arith = "fn f(v: &[u32]) -> usize {\n    v.len() - 1\n}\n";
         assert_eq!(
             rules_of(&scan_source("crates/tech/src/fixture.rs", arith)),
@@ -489,56 +346,6 @@ mod tests {
             rules_of(&scan_source("crates/resilience/src/fixture.rs", dur)),
             vec![RULE_DURATION_ARITH]
         );
-    }
-
-    #[test]
-    fn violations_carry_fingerprints_and_severity() {
-        let src = "fn f() { x.unwrap(); }\n";
-        let got = scan_source(DP, src);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].fingerprint.len(), 16);
-        assert_eq!(got[0].severity, Severity::Error);
-        assert!(got[0].fingerprint.bytes().all(|b| b.is_ascii_hexdigit()));
-    }
-
-    #[test]
-    fn baseline_round_trip_and_ratchet_v2() {
-        // Findings separated by unchanged code lines: the ±1 code-line
-        // fingerprint context stays stable when an edit is more than one
-        // code line away.
-        let src = "fn f() { x.unwrap(); }\nfn sep1() {}\nfn g() { y.unwrap(); }\nfn sep2() {}\n";
-        let violations = scan_source(DP, src);
-        assert_eq!(violations.len(), 2);
-        let text = format_baseline(&violations);
-        let baseline = parse_baseline(&text).expect("formatted baseline always parses");
-        assert!(!baseline.is_legacy());
-        // At baseline: passes.
-        let ok = check_against_baseline(&violations, &baseline);
-        assert!(ok.over.is_empty() && ok.improved.is_empty());
-        // A new finding (different context → different fingerprint) fails
-        // without disturbing the baselined ones.
-        let more_src = "fn f() { x.unwrap(); }\nfn sep1() {}\nfn g() { y.unwrap(); }\nfn sep2() {}\nfn h() { z.unwrap(); }\n";
-        let more = scan_source(DP, more_src);
-        let outcome = check_against_baseline(&more, &baseline);
-        assert_eq!(outcome.over.len(), 1);
-        assert!(outcome.over[0].snippet.contains("z.unwrap"));
-        // Removing one finding (its surrounding code lines intact):
-        // improved, not failing.
-        let fewer = scan_source(DP, "fn f() { x.unwrap(); }\nfn sep1() {}\nfn sep2() {}\n");
-        let better = check_against_baseline(&fewer, &baseline);
-        assert!(better.over.is_empty(), "over: {:?}", better.over);
-        assert_eq!(better.improved.len(), 1);
-    }
-
-    #[test]
-    fn seeded_violation_fails_with_empty_baseline() {
-        // The end-to-end property the CI gate relies on: a fresh violation
-        // with no baseline entry makes the audit fail.
-        let src = "fn f() { x.unwrap(); }\n";
-        let violations = scan_source(DP, src);
-        let outcome = check_against_baseline(&violations, &Baseline::empty());
-        assert_eq!(outcome.over.len(), 1);
-        assert_eq!(outcome.over[0].rule, RULE_NO_UNWRAP);
     }
 
     #[test]

@@ -1,28 +1,19 @@
 //! CLI for the workspace invariant auditor.
 //!
 //! ```text
-//! cargo run -p merlin-audit                 # audit against the baseline
-//! cargo run -p merlin-audit -- --update-baseline
+//! cargo run -p merlin-audit                       # audit the workspace
 //! cargo run -p merlin-audit -- --root /path/to/workspace
-//! cargo run -p merlin-audit -- --sarif audit.sarif --json audit.json
 //! cargo run -p merlin-audit -- --max-runtime-ms 10000
 //! ```
 //!
-//! Exit codes: `0` clean (or within baseline), `1` findings over the
-//! baseline or runtime guard exceeded, `2` usage or I/O error.
-//!
-//! A legacy count-based baseline (`<rule> <path> <count>`) is evaluated
-//! under its own semantics and, on a clean run, automatically rewritten
-//! in the fingerprinted v2 format (`<rule> <path> <fingerprint> <count>`).
+//! Findings go to stderr, the summary to stdout. Exit codes: `0` clean,
+//! `1` any finding or the runtime guard exceeded, `2` usage or I/O error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use merlin_audit::{
-    audit_files, check_against_baseline, format_baseline, json_report, parse_baseline,
-    sarif_report, Baseline,
-};
+use merlin_audit::audit_files;
 
 /// Directories never scanned: build output, vendored shims, VCS metadata,
 /// and the auditor's own seeded-violation corpus (its fixtures exist to
@@ -65,36 +56,21 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 struct Options {
-    update_baseline: bool,
     root: Option<PathBuf>,
-    sarif: Option<PathBuf>,
-    json: Option<PathBuf>,
     max_runtime_ms: Option<u64>,
 }
 
 fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
-        update_baseline: false,
         root: None,
-        sarif: None,
-        json: None,
         max_runtime_ms: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--update-baseline" => opts.update_baseline = true,
             "--root" => match args.next() {
                 Some(p) => opts.root = Some(PathBuf::from(p)),
                 None => return Err("--root needs a path".to_owned()),
-            },
-            "--sarif" => match args.next() {
-                Some(p) => opts.sarif = Some(PathBuf::from(p)),
-                None => return Err("--sarif needs a path".to_owned()),
-            },
-            "--json" => match args.next() {
-                Some(p) => opts.json = Some(PathBuf::from(p)),
-                None => return Err("--json needs a path".to_owned()),
             },
             "--max-runtime-ms" => match args.next().map(|v| v.parse::<u64>()) {
                 Some(Ok(ms)) => opts.max_runtime_ms = Some(ms),
@@ -102,11 +78,7 @@ fn parse_args() -> Result<Option<Options>, String> {
                 None => return Err("--max-runtime-ms needs a value".to_owned()),
             },
             "--help" | "-h" => {
-                println!(
-                    "usage: merlin-audit [--root <workspace>] [--update-baseline]\n\
-                     \x20                  [--sarif <path>] [--json <path>]\n\
-                     \x20                  [--max-runtime-ms <n>]"
-                );
+                println!("usage: merlin-audit [--root <workspace>] [--max-runtime-ms <n>]");
                 return Ok(None);
             }
             other => return Err(format!("unknown argument `{other}`")),
@@ -158,96 +130,24 @@ fn main() -> ExitCode {
     let registry_doc = registry_text.as_deref().map(|t| (REGISTRY_DOC, t));
 
     let violations = audit_files(&files, registry_doc);
-
-    let mut io_failed = false;
-    if let Some(path) = &opts.sarif {
-        if let Err(e) = std::fs::write(path, sarif_report(&violations)) {
-            eprintln!("error: writing {}: {e}", path.display());
-            io_failed = true;
-        }
-    }
-    if let Some(path) = &opts.json {
-        if let Err(e) = std::fs::write(path, json_report(&violations)) {
-            eprintln!("error: writing {}: {e}", path.display());
-            io_failed = true;
-        }
-    }
-    if io_failed {
-        return ExitCode::from(2);
-    }
-
-    let baseline_path = root.join("audit-baseline.txt");
-    if opts.update_baseline {
-        let body = format_baseline(&violations);
-        if let Err(e) = std::fs::write(&baseline_path, body) {
-            eprintln!("error: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "audit: baseline updated with {} finding(s) across {} file(s) scanned",
-            violations.len(),
-            scanned
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline: Baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match parse_baseline(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Baseline::empty(),
-    };
-
-    let outcome = check_against_baseline(&violations, &baseline);
-    for (rule, path, was, now) in &outcome.improved {
-        println!(
-            "audit: ratchet can tighten: {rule} {path} {was} -> {now} (run --update-baseline)"
-        );
-    }
-
     let elapsed_ms = started.elapsed().as_millis();
-    let over_budget = opts
-        .max_runtime_ms
-        .is_some_and(|max| elapsed_ms > u128::from(max));
 
-    if outcome.over.is_empty() {
-        // A clean run under a legacy baseline is the migration point:
-        // rewrite it with fingerprints so future runs ratchet per-finding.
-        if baseline.is_legacy() {
-            let body = format_baseline(&violations);
-            if let Err(e) = std::fs::write(&baseline_path, body) {
-                eprintln!("error: writing {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-            println!("audit: legacy baseline migrated to fingerprint format (v2)");
-        }
-        println!(
-            "audit: clean ({} file(s) scanned, {} baselined finding(s), {} ms)",
-            scanned,
-            violations.len(),
-            elapsed_ms
-        );
-        if over_budget {
-            eprintln!(
-                "audit: runtime guard exceeded: {} ms > {} ms budget",
-                elapsed_ms,
-                opts.max_runtime_ms.unwrap_or(0)
-            );
-            return ExitCode::FAILURE;
-        }
-        ExitCode::SUCCESS
-    } else {
-        for v in &outcome.over {
+    if !violations.is_empty() {
+        for v in &violations {
             eprintln!("{v}");
         }
         eprintln!(
-            "audit: {} finding(s) over baseline; fix them, add `// audit:allow(<rule>)` with a reason, or re-baseline",
-            outcome.over.len()
+            "audit: {} finding(s); fix them or add `// audit:allow(<rule>)` with a reason",
+            violations.len()
         );
-        ExitCode::FAILURE
+        return ExitCode::FAILURE;
     }
+    println!("audit: clean ({scanned} file(s) scanned, {elapsed_ms} ms)");
+    if let Some(max) = opts.max_runtime_ms {
+        if elapsed_ms > u128::from(max) {
+            eprintln!("audit: runtime guard exceeded: {elapsed_ms} ms > {max} ms budget");
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
 }

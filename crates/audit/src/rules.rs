@@ -1,38 +1,28 @@
-//! The rule pack: legacy line-pattern hygiene rules (ported onto the
-//! lexer's sanitized view) and the token-window semantic rules targeting
-//! the overflow/concurrency bug classes this repo has actually shipped.
+//! The rule pack: line-pattern rules over the lexer's sanitized view and
+//! token-window rules targeting the overflow/concurrency bug classes this
+//! repo has actually shipped.
 
 use std::collections::HashSet;
 
-use crate::engine::{Severity, Violation};
+use crate::engine::Violation;
 use crate::lexer::{TokKind, Token};
 
-/// Rule name: `.unwrap()` in DP-crate code (tests included).
-pub const RULE_NO_UNWRAP: &str = "no-unwrap";
 /// Rule name: `.expect("")` with an empty message.
 pub const RULE_EMPTY_EXPECT: &str = "empty-expect";
-/// Rule name: `panic!` outside `#[cfg(test)]`.
-pub const RULE_PANIC: &str = "panic";
-/// Rule name: raw `partial_cmp` / `total_cmp` instead of the units helpers.
-pub const RULE_FLOAT_CMP: &str = "float-cmp";
 /// Rule name: `==` against a float literal outside tests.
 pub const RULE_FLOAT_EQ: &str = "float-eq";
+/// Rule name: a raw `partial_cmp` call instead of the units helpers
+/// (clippy's `disallowed-methods` covers `f64::total_cmp` but cannot name
+/// a trait method for one type).
+pub const RULE_FLOAT_CMP: &str = "float-cmp";
 /// Rule name: `CurvePoint` pushes with no reachable `prune()` in the same
 /// function.
 pub const RULE_PUSH_WITHOUT_PRUNE: &str = "push-without-prune";
-/// Rule name: undocumented non-test `pub fn`.
-pub const RULE_DOC_PUB_FN: &str = "doc-pub-fn";
-/// Rule name: `catch_unwind` outside `crates/resilience/` and test code.
-pub const RULE_CATCH_UNWIND: &str = "catch-unwind";
-/// Rule name: `std::rc::Rc` inside the thread-sharded DP crates.
-pub const RULE_NO_RC_IN_DP: &str = "no-rc-in-dp";
 /// Rule name: unguarded `len()`/count subtraction that can underflow.
 pub const RULE_UNCHECKED_ARITH: &str = "unchecked-arith";
 /// Rule name: unclamped `Duration` multiplication/addition in retry and
 /// backoff paths.
 pub const RULE_DURATION_ARITH: &str = "duration-arith";
-/// Rule name: `as` cast that can truncate (int narrowing, float→int).
-pub const RULE_LOSSY_CAST: &str = "lossy-cast";
 /// Rule name: atomic access without an explicit `Ordering`, or `SeqCst`
 /// in the DP hot path.
 pub const RULE_ATOMIC_ORDERING: &str = "atomic-ordering";
@@ -41,150 +31,14 @@ pub const RULE_PANIC_IN_DROP: &str = "panic-in-drop";
 /// Rule name: trace name used in code but missing from the
 /// `docs/OBSERVABILITY.md` registry, or vice versa.
 pub const RULE_TRACE_NAME_REGISTRY: &str = "trace-name-registry";
-/// Rule name: bare `std::process::exit` outside the sanctioned worker
-/// exit wrapper.
-pub const RULE_NO_RAW_EXIT: &str = "no-raw-exit";
 /// Rule name: an `audit:allow` marker that suppresses nothing.
 pub const RULE_STALE_ALLOW: &str = "stale-allow";
 
-/// Static metadata for one rule, feeding the SARIF `rules` array and the
-/// docs catalog.
-#[derive(Clone, Copy, Debug)]
-pub struct RuleInfo {
-    /// Rule name.
-    pub name: &'static str,
-    /// Default severity of the rule's findings.
-    pub severity: Severity,
-    /// One-line description.
-    pub summary: &'static str,
-}
-
-/// All rules, in report order.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        name: RULE_NO_UNWRAP,
-        severity: Severity::Error,
-        summary: "no .unwrap() in DP-crate code; use .expect(\"<invariant>\") or control flow",
-    },
-    RuleInfo {
-        name: RULE_EMPTY_EXPECT,
-        severity: Severity::Error,
-        summary: ".expect(\"\") explains nothing",
-    },
-    RuleInfo {
-        name: RULE_PANIC,
-        severity: Severity::Error,
-        summary: "no panic!/todo!/unimplemented! outside #[cfg(test)]",
-    },
-    RuleInfo {
-        name: RULE_FLOAT_CMP,
-        severity: Severity::Error,
-        summary: "raw partial_cmp/total_cmp on delays; use merlin_tech::units helpers",
-    },
-    RuleInfo {
-        name: RULE_FLOAT_EQ,
-        severity: Severity::Error,
-        summary: "== against a float literal outside tests",
-    },
-    RuleInfo {
-        name: RULE_PUSH_WITHOUT_PRUNE,
-        severity: Severity::Error,
-        summary: "CurvePoint pushes with no reachable prune() in the same function",
-    },
-    RuleInfo {
-        name: RULE_DOC_PUB_FN,
-        severity: Severity::Warning,
-        summary: "undocumented non-test pub fn",
-    },
-    RuleInfo {
-        name: RULE_CATCH_UNWIND,
-        severity: Severity::Error,
-        summary: "catch_unwind outside crates/resilience/ and test code",
-    },
-    RuleInfo {
-        name: RULE_NO_RC_IN_DP,
-        severity: Severity::Error,
-        summary: "std::rc::Rc is not Send; the sharded DP crates must use Arc",
-    },
-    RuleInfo {
-        name: RULE_UNCHECKED_ARITH,
-        severity: Severity::Error,
-        summary: "bare subtraction on len()/count/index expressions without a \
-                  saturating_/checked_ call or emptiness guard",
-    },
-    RuleInfo {
-        name: RULE_DURATION_ARITH,
-        severity: Severity::Error,
-        summary: "Duration multiplication/addition without a min()/clamp() cap \
-                  (Duration::mul_f64 panics on overflow)",
-    },
-    RuleInfo {
-        name: RULE_LOSSY_CAST,
-        severity: Severity::Warning,
-        summary: "as cast that can truncate: int narrowing or float→int",
-    },
-    RuleInfo {
-        name: RULE_ATOMIC_ORDERING,
-        severity: Severity::Error,
-        summary: "atomic load/store/fetch_* must name an explicit Ordering; \
-                  SeqCst in the DP hot path is flagged",
-    },
-    RuleInfo {
-        name: RULE_PANIC_IN_DROP,
-        severity: Severity::Error,
-        summary: "no panicking call inside impl Drop (unwrap/expect/assert!/ \
-                  panic!/RefCell borrow/LocalKey::with)",
-    },
-    RuleInfo {
-        name: RULE_TRACE_NAME_REGISTRY,
-        severity: Severity::Error,
-        summary: "every merlin_trace span/counter/histogram name must appear in \
-                  the docs/OBSERVABILITY.md registry and vice versa",
-    },
-    RuleInfo {
-        name: RULE_NO_RAW_EXIT,
-        severity: Severity::Error,
-        summary: "std::process::exit skips destructors (journal flushes, trace \
-                  guards); return an ExitCode or go through the sanctioned \
-                  worker_exit wrapper",
-    },
-    RuleInfo {
-        name: RULE_STALE_ALLOW,
-        severity: Severity::Warning,
-        summary: "an audit:allow marker that suppresses nothing is itself a finding",
-    },
-];
-
-/// All rule names, in report order.
-pub const ALL_RULES: &[&str] = &[
-    RULE_NO_UNWRAP,
-    RULE_EMPTY_EXPECT,
-    RULE_PANIC,
-    RULE_FLOAT_CMP,
-    RULE_FLOAT_EQ,
-    RULE_PUSH_WITHOUT_PRUNE,
-    RULE_DOC_PUB_FN,
-    RULE_CATCH_UNWIND,
-    RULE_NO_RC_IN_DP,
-    RULE_UNCHECKED_ARITH,
-    RULE_DURATION_ARITH,
-    RULE_LOSSY_CAST,
-    RULE_ATOMIC_ORDERING,
-    RULE_PANIC_IN_DROP,
-    RULE_TRACE_NAME_REGISTRY,
-    RULE_NO_RAW_EXIT,
-    RULE_STALE_ALLOW,
-];
-
-/// Looks up a rule's metadata.
-pub fn rule_info(name: &str) -> Option<&'static RuleInfo> {
-    RULES.iter().find(|r| r.name == name)
-}
-
-/// Workspace-relative path prefixes of the crates under full DP-hygiene
-/// rules. `crates/trace/` is included because its RAII guards run `Drop`
-/// code inside every instrumented hot loop; `crates/audit/` audits itself
-/// under the same bar.
+/// Workspace-relative path prefixes of the crates under the
+/// `empty-expect`, `float-eq`, `float-cmp` and `push-without-prune`
+/// rules: the DP hot-path crates, `crates/trace/` (its RAII guards run
+/// inside every instrumented hot loop) and `crates/audit/` itself. The
+/// same crates opt into the root `[workspace.lints]`.
 pub const DP_CRATE_PREFIXES: &[&str] = &[
     "crates/core/",
     "crates/curves/",
@@ -194,13 +48,6 @@ pub const DP_CRATE_PREFIXES: &[&str] = &[
     "crates/trace/",
     "crates/audit/",
 ];
-
-/// Workspace-relative prefix of the one crate allowed to `catch_unwind`.
-pub const RESILIENCE_PREFIX: &str = "crates/resilience/";
-
-/// Crates whose data structures cross the parallel DP's worker-thread
-/// boundary, where `Rc` is forbidden.
-pub const RC_FORBIDDEN_PREFIXES: &[&str] = &["crates/core/", "crates/curves/"];
 
 /// Crates whose arithmetic feeds the DP's index/length math; the
 /// `unchecked-arith` rule applies here (the buffer-library container in
@@ -221,7 +68,7 @@ pub const UNCHECKED_ARITH_PREFIXES: &[&str] = &[
 pub const DURATION_ARITH_PREFIXES: &[&str] = &["crates/resilience/", "crates/supervisor/"];
 
 /// Hot-path crates where `Ordering::SeqCst` is flagged (a fence on every
-/// DP iteration) and where `lossy-cast`'s stricter posture matters most.
+/// DP iteration).
 pub const HOT_PATH_PREFIXES: &[&str] = &["crates/core/", "crates/curves/"];
 
 /// Crates excluded from trace-name collection: the collector itself uses
@@ -329,13 +176,7 @@ fn line_in_test(in_test: &[bool], line: usize) -> bool {
         .unwrap_or(false)
 }
 
-fn finding(
-    rule: &'static str,
-    path: &str,
-    raw_lines: &[&str],
-    line: usize,
-    severity: Severity,
-) -> Violation {
+fn finding(rule: &'static str, path: &str, raw_lines: &[&str], line: usize) -> Violation {
     Violation {
         rule,
         path: path.to_owned(),
@@ -344,41 +185,12 @@ fn finding(
             .get(line.saturating_sub(1))
             .map(|l| l.trim().to_owned())
             .unwrap_or_default(),
-        severity,
-        fingerprint: String::new(),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Legacy line rules (ported from the v1 per-line state machine, now fed by
-// the lexer's sanitized view).
+// Line rules (a per-line state machine fed by the lexer's sanitized view).
 // ---------------------------------------------------------------------------
-
-/// Whether the sanitized line mentions `std::rc` or the `Rc` type as a
-/// standalone token.
-fn mentions_rc(code: &str) -> bool {
-    if code.contains("std::rc") {
-        return true;
-    }
-    let bytes = code.as_bytes();
-    for (i, _) in code.match_indices("Rc") {
-        let before_ok = i == 0 || {
-            let c = bytes[i - 1] as char;
-            !c.is_alphanumeric() && c != '_'
-        };
-        let after_ok = match bytes.get(i + 2) {
-            Some(&b) => {
-                let c = b as char;
-                !c.is_alphanumeric() && c != '_'
-            }
-            None => true,
-        };
-        if before_ok && after_ok {
-            return true;
-        }
-    }
-    false
-}
 
 /// Whether `code` contains `==` or `!=` adjacent to a float literal.
 fn has_float_literal_eq(code: &str) -> bool {
@@ -457,27 +269,6 @@ fn is_fn_def(code: &str) -> bool {
     false
 }
 
-/// Whether the sanitized line declares a documented-API candidate.
-fn is_pub_fn_def(code: &str) -> bool {
-    let t = code.trim_start();
-    if !t.starts_with("pub ") {
-        return false;
-    }
-    let mut r = t[4..].trim_start();
-    loop {
-        if let Some(x) = r.strip_prefix("const ") {
-            r = x;
-        } else if let Some(x) = r.strip_prefix("async ") {
-            r = x;
-        } else if let Some(x) = r.strip_prefix("unsafe ") {
-            r = x;
-        } else {
-            break;
-        }
-    }
-    r.starts_with("fn ")
-}
-
 struct FnFrame {
     depth: usize,
     push_lines: Vec<usize>,
@@ -531,18 +322,16 @@ fn track_braces(
     }
 }
 
-/// Runs the legacy line-pattern rules over the sanitized view, and returns
+/// Runs the line-pattern rules over the sanitized view, and returns
 /// `(raw findings, per-line in-test flags)`. Findings are *unfiltered*:
 /// allow-marker suppression happens centrally in the engine so stale
 /// markers can be detected.
-pub(crate) fn legacy_line_rules(
+pub(crate) fn line_rules(
     path: &str,
     raw_lines: &[&str],
     code_lines: &[String],
 ) -> (Vec<Violation>, Vec<bool>) {
     let full = is_dp_crate_path(path);
-    let catch_rule_applies = !path.starts_with(RESILIENCE_PREFIX);
-    let rc_rule_applies = has_prefix(path, RC_FORBIDDEN_PREFIXES);
     let whole_file_is_test = path.contains("/tests/") || path.contains("/benches/");
 
     let mut violations = Vec::new();
@@ -566,126 +355,28 @@ pub(crate) fn legacy_line_rules(
             pending_fn = true;
         }
 
-        if catch_rule_applies && !in_test && code.contains("catch_unwind") {
-            violations.push(finding(
-                RULE_CATCH_UNWIND,
-                path,
-                raw_lines,
-                idx + 1,
-                Severity::Error,
-            ));
-        }
-        if rc_rule_applies && mentions_rc(code) {
-            violations.push(finding(
-                RULE_NO_RC_IN_DP,
-                path,
-                raw_lines,
-                idx + 1,
-                Severity::Error,
-            ));
-        }
-
-        if !full {
-            track_braces(
-                code,
-                &mut depth,
-                &mut test_stack,
-                &mut pending_test_attr,
-                &mut pending_fn,
-                &mut fn_stack,
-                &mut resolved_pushes,
-            );
-            continue;
-        }
-
-        if code.contains(".unwrap()") {
-            violations.push(finding(
-                RULE_NO_UNWRAP,
-                path,
-                raw_lines,
-                idx + 1,
-                Severity::Error,
-            ));
-        }
-        if code.contains(".expect(") && raw_lines[idx].contains(".expect(\"\")") {
-            violations.push(finding(
-                RULE_EMPTY_EXPECT,
-                path,
-                raw_lines,
-                idx + 1,
-                Severity::Error,
-            ));
-        }
-        if !in_test
-            && (code.contains("panic!")
-                || code.contains("unimplemented!")
-                || code.contains("todo!("))
-        {
-            violations.push(finding(
-                RULE_PANIC,
-                path,
-                raw_lines,
-                idx + 1,
-                Severity::Error,
-            ));
-        }
-        if code.contains(".partial_cmp(") || code.contains(".total_cmp(") {
-            violations.push(finding(
-                RULE_FLOAT_CMP,
-                path,
-                raw_lines,
-                idx + 1,
-                Severity::Error,
-            ));
-        }
-        if !in_test && has_float_literal_eq(code) {
-            violations.push(finding(
-                RULE_FLOAT_EQ,
-                path,
-                raw_lines,
-                idx + 1,
-                Severity::Error,
-            ));
-        }
-        if code.contains(".push(CurvePoint") {
-            for frame in &mut fn_stack {
-                frame.push_lines.push(idx);
+        if full {
+            if code.contains(".expect(") && raw_lines[idx].contains(".expect(\"\")") {
+                violations.push(finding(RULE_EMPTY_EXPECT, path, raw_lines, idx + 1));
             }
-            all_pushes.push((idx, in_test));
-        }
-        if code.contains("prune(") {
-            for frame in &mut fn_stack {
-                frame.has_prune = true;
+            if !in_test && has_float_literal_eq(code) {
+                violations.push(finding(RULE_FLOAT_EQ, path, raw_lines, idx + 1));
             }
-        }
-        if !in_test && is_pub_fn_def(code) {
-            let mut j = idx;
-            let mut documented = false;
-            while j > 0 {
-                j -= 1;
-                let prev = raw_lines[j].trim();
-                if prev.is_empty()
-                    || prev.starts_with("#[")
-                    || prev.ends_with(")]")
-                    || prev.ends_with(']') && prev.contains("#[")
-                {
-                    continue;
+            if code.contains(".partial_cmp(") {
+                violations.push(finding(RULE_FLOAT_CMP, path, raw_lines, idx + 1));
+            }
+            if code.contains(".push(CurvePoint") {
+                for frame in &mut fn_stack {
+                    frame.push_lines.push(idx);
                 }
-                documented =
-                    prev.starts_with("///") || prev.starts_with("//!") || prev.ends_with("*/");
-                break;
+                all_pushes.push((idx, in_test));
             }
-            if !documented {
-                violations.push(finding(
-                    RULE_DOC_PUB_FN,
-                    path,
-                    raw_lines,
-                    idx + 1,
-                    Severity::Warning,
-                ));
+            if code.contains("prune(") {
+                for frame in &mut fn_stack {
+                    frame.has_prune = true;
+                }
             }
         }
-
         track_braces(
             code,
             &mut depth,
@@ -703,13 +394,7 @@ pub(crate) fn legacy_line_rules(
     }
     for (idx, in_test) in all_pushes {
         if !in_test && !resolved_pushes.contains(&idx) {
-            violations.push(finding(
-                RULE_PUSH_WITHOUT_PRUNE,
-                path,
-                raw_lines,
-                idx + 1,
-                Severity::Error,
-            ));
+            violations.push(finding(RULE_PUSH_WITHOUT_PRUNE, path, raw_lines, idx + 1));
         }
     }
     (violations, in_test_flags)
@@ -819,13 +504,7 @@ pub(crate) fn rule_unchecked_arith(
             if !line_in_test(in_test, line) {
                 let (lo, hi) = stmt_bounds(toks, i);
                 if !window_has_ident(toks, lo, hi, SUB_GUARDS) && !guarded_above(line, hit_ident) {
-                    out.push(finding(
-                        RULE_UNCHECKED_ARITH,
-                        path,
-                        raw_lines,
-                        line,
-                        Severity::Error,
-                    ));
+                    out.push(finding(RULE_UNCHECKED_ARITH, path, raw_lines, line));
                 }
             }
         }
@@ -891,171 +570,9 @@ pub(crate) fn rule_duration_arith(
             if !line_in_test(in_test, line) {
                 let (lo, hi) = stmt_bounds(toks, i);
                 if !window_has_ident(toks, lo, hi, DURATION_GUARDS) {
-                    out.push(finding(
-                        RULE_DURATION_ARITH,
-                        path,
-                        raw_lines,
-                        line,
-                        Severity::Error,
-                    ));
+                    out.push(finding(RULE_DURATION_ARITH, path, raw_lines, line));
                 }
             }
-        }
-    }
-}
-
-const NARROW_INT_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
-const WIDE_INT_TARGETS: &[&str] = &["u64", "i64", "u128", "i128", "usize", "isize"];
-/// Idents that mark a cast as deliberately rounded/clamped/saturated.
-const CAST_HANDLED: &[&str] = &["round", "floor", "ceil", "trunc", "clamp", "min"];
-
-/// Maximum value representable by a narrow target, for the
-/// literal-source exemption (`255 as u8` is exact).
-fn narrow_max(target: &str) -> Option<u128> {
-    Some(match target {
-        "u8" => u8::MAX as u128,
-        "u16" => u16::MAX as u128,
-        "u32" => u32::MAX as u128,
-        "i8" => i8::MAX as u128,
-        "i16" => i16::MAX as u128,
-        "i32" => i32::MAX as u128,
-        _ => return None,
-    })
-}
-
-fn int_literal_value(text: &str) -> Option<u128> {
-    let cleaned: String = text.chars().filter(|&c| c != '_').collect();
-    let (digits, radix) = if let Some(x) = cleaned.strip_prefix("0x") {
-        (x, 16)
-    } else if let Some(o) = cleaned.strip_prefix("0o") {
-        (o, 8)
-    } else if let Some(b) = cleaned.strip_prefix("0b") {
-        (b, 2)
-    } else {
-        (cleaned.as_str(), 10)
-    };
-    let digits: String = digits
-        .chars()
-        .take_while(|c| c.is_ascii_hexdigit())
-        .collect();
-    u128::from_str_radix(&digits, radix).ok()
-}
-
-/// Walks back from the `as` keyword over one postfix expression
-/// (`recv.a().b().c`), returning the start index of the expression.
-fn cast_source_start(toks: &[CTok<'_>], as_idx: usize) -> usize {
-    const LIMIT: usize = 48;
-    let mut k = as_idx; // exclusive upper bound walks down
-    loop {
-        if k == 0 || as_idx - k >= LIMIT {
-            return k;
-        }
-        let prev = &toks[k - 1];
-        match prev.kind {
-            TokKind::Punct if prev.text == ")" => {
-                // Match backward to the opening paren.
-                let mut depth = 0isize;
-                let mut j = k - 1;
-                loop {
-                    let t = &toks[j];
-                    if t.kind == TokKind::Punct && t.text == ")" {
-                        depth += 1;
-                    } else if t.kind == TokKind::Punct && t.text == "(" {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    if j == 0 || k - 1 - j >= LIMIT {
-                        break;
-                    }
-                    j -= 1;
-                }
-                k = j;
-                // Consume the call's callee ident (`.min(`, `floor(`) so
-                // handled-cast detection sees it.
-                if k > 0 && toks[k - 1].kind == TokKind::Ident {
-                    k -= 1;
-                }
-            }
-            TokKind::Ident | TokKind::Int | TokKind::Float => {
-                k -= 1;
-            }
-            TokKind::Punct if prev.text == "." => {
-                k -= 1;
-                continue;
-            }
-            _ => return k,
-        }
-        // Continue only through a method/field chain.
-        if k > 0 && toks[k - 1].kind == TokKind::Punct && toks[k - 1].text == "." {
-            continue;
-        }
-        return k;
-    }
-}
-
-/// `lossy-cast`: `as` casts that can truncate — any cast to a narrow int
-/// (unless the source is a literal that provably fits), and float→int
-/// casts without an explicit `round`/`floor`/`ceil`/`trunc`/`clamp` in
-/// the source expression.
-pub(crate) fn rule_lossy_cast(
-    path: &str,
-    raw_lines: &[&str],
-    toks: &[CTok<'_>],
-    in_test: &[bool],
-    out: &mut Vec<Violation>,
-) {
-    if !is_dp_crate_path(path) {
-        return;
-    }
-    for i in 0..toks.len() {
-        if !(toks[i].kind == TokKind::Ident && toks[i].text == "as") {
-            continue;
-        }
-        let Some(target) = toks.get(i + 1) else {
-            continue;
-        };
-        if target.kind != TokKind::Ident {
-            continue;
-        }
-        let narrow = NARROW_INT_TARGETS.contains(&target.text);
-        if !narrow && !WIDE_INT_TARGETS.contains(&target.text) {
-            continue;
-        }
-        let line = toks[i].line;
-        if line_in_test(in_test, line) {
-            continue;
-        }
-        let start = cast_source_start(toks, i);
-        let src_toks = &toks[start..i];
-        let has_float = src_toks.iter().any(|t| {
-            t.kind == TokKind::Float
-                || (t.kind == TokKind::Ident && matches!(t.text, "f64" | "f32"))
-        });
-        let handled = src_toks
-            .iter()
-            .any(|t| t.kind == TokKind::Ident && CAST_HANDLED.contains(&t.text));
-        let fits = narrow
-            && src_toks.len() == 1
-            && src_toks[0].kind == TokKind::Int
-            && match (int_literal_value(src_toks[0].text), narrow_max(target.text)) {
-                (Some(v), Some(max)) => v <= max,
-                _ => false,
-            };
-        let lossy = if narrow {
-            !fits && !handled
-        } else {
-            has_float && !handled
-        };
-        if lossy {
-            out.push(finding(
-                RULE_LOSSY_CAST,
-                path,
-                raw_lines,
-                line,
-                Severity::Warning,
-            ));
         }
     }
 }
@@ -1114,26 +631,14 @@ pub(crate) fn rule_atomic_ordering(
                 .iter()
                 .any(|t| t.kind == TokKind::Ident && ORDERING_NAMES.contains(&t.text));
             if !named {
-                out.push(finding(
-                    RULE_ATOMIC_ORDERING,
-                    path,
-                    raw_lines,
-                    line,
-                    Severity::Error,
-                ));
+                out.push(finding(RULE_ATOMIC_ORDERING, path, raw_lines, line));
             }
         }
     }
     if has_prefix(path, HOT_PATH_PREFIXES) {
         for t in toks {
             if t.kind == TokKind::Ident && t.text == "SeqCst" && !line_in_test(in_test, t.line) {
-                out.push(finding(
-                    RULE_ATOMIC_ORDERING,
-                    path,
-                    raw_lines,
-                    t.line,
-                    Severity::Warning,
-                ));
+                out.push(finding(RULE_ATOMIC_ORDERING, path, raw_lines, t.line));
             }
         }
     }
@@ -1230,54 +735,10 @@ pub(crate) fn rule_panic_in_drop(
                     && is_punct(toks.get(j - 1), ".")
                     && is_punct(toks.get(j + 1), "("));
             if hit {
-                out.push(finding(
-                    RULE_PANIC_IN_DROP,
-                    path,
-                    raw_lines,
-                    t.line,
-                    Severity::Error,
-                ));
+                out.push(finding(RULE_PANIC_IN_DROP, path, raw_lines, t.line));
             }
         }
         i = end.max(open + 1);
-    }
-}
-
-/// `no-raw-exit`: a bare `std::process::exit` call outside test code,
-/// anywhere in the workspace. `exit` runs no destructors — journal
-/// writers are not flushed, trace guards never fire — so process
-/// termination must either return an `ExitCode` from `main` or go
-/// through the one sanctioned wrapper
-/// (`merlin_supervisor::proc::worker_exit`, which carries the
-/// `audit:allow` marker). `std::process::abort` is *not* flagged: the
-/// crash-isolation machinery aborts deliberately to simulate hard
-/// faults, and an abort is what the supervision layer is built to
-/// survive.
-pub(crate) fn rule_no_raw_exit(
-    path: &str,
-    raw_lines: &[&str],
-    toks: &[CTok<'_>],
-    in_test: &[bool],
-    out: &mut Vec<Violation>,
-) {
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind == TokKind::Ident
-            && t.text == "process"
-            && is_punct(toks.get(i + 1), ":")
-            && is_punct(toks.get(i + 2), ":")
-            && is_ident(toks.get(i + 3), "exit")
-            && is_punct(toks.get(i + 4), "(")
-            && !line_in_test(in_test, toks[i + 3].line)
-        {
-            out.push(finding(
-                RULE_NO_RAW_EXIT,
-                path,
-                raw_lines,
-                toks[i + 3].line,
-                Severity::Error,
-            ));
-        }
     }
 }
 

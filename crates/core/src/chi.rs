@@ -115,6 +115,15 @@ impl Window {
         })
     }
 
+    /// The window's key in the Γ tables: `(covered, shape index, right)`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Γ keys are u16; nets have < 2^16 sinks"
+    )]
+    pub(crate) fn gamma_key(self) -> (u16, u8, u16) {
+        (self.covered as u16, self.shape.index(), self.right as u16)
+    }
+
     /// Window length `l'` (covered + stretch).
     pub fn len(self) -> usize {
         self.covered + self.shape.stretch()

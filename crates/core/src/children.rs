@@ -32,11 +32,8 @@ pub enum Child {
 impl Child {
     /// The Γ key of a group child.
     pub fn group_key(window: Window) -> Child {
-        Child::Group {
-            l: window.covered as u16,
-            e: window.shape.index(),
-            r: window.right as u16,
-        }
+        let (l, e, r) = window.gamma_key();
+        Child::Group { l, e, r }
     }
 }
 
@@ -108,6 +105,7 @@ pub fn child_sequence_multi(
 }
 
 #[cfg(test)]
+#[expect(clippy::cast_possible_truncation, reason = "test indices are small")]
 mod tests {
     use super::*;
     use crate::chi::Shape;

@@ -293,6 +293,7 @@ impl<'a> BubbleConstruct<'a> {
                 ),
             });
         }
+        #[expect(clippy::cast_possible_truncation, reason = "< 2^16 buffer cells")]
         let lib_sel: Vec<u16> = {
             let stride = cfg.library_stride.max(1);
             let last = self.tech.library.len() - 1;
@@ -309,6 +310,10 @@ impl<'a> BubbleConstruct<'a> {
             candidates
                 .iter()
                 .map(|&p| {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "nets have < 2^16 candidate points"
+                    )]
                     let mut idx: Vec<u16> = (0..k as u16).collect();
                     idx.sort_by_key(|&q| manhattan(p, candidates[q as usize]));
                     idx.retain(|&q| candidates[q as usize] != p);
@@ -356,7 +361,7 @@ impl<'a> BubbleConstruct<'a> {
                         let fam = range_curves(&ctx, &seq, &gamma, &mut cache, &mut arena);
                         let work: u64 = fam.iter().map(|c| c.len() as u64).sum();
                         budget.charge(work + 1)?;
-                        gamma.insert(1, shape.index(), r as u16, fam);
+                        gamma.insert(w, fam);
                     }
                 }
                 budget.check()?;
@@ -379,12 +384,10 @@ impl<'a> BubbleConstruct<'a> {
         let mut shard_cache_misses = 0u64;
         for big_l in 2usize..=n {
             let _level_span = merlin_trace::span!("core.construct.level", big_l);
-            let pairs: Vec<(Shape, usize, Window)> = shapes
+            let pairs: Vec<Window> = shapes
                 .iter()
                 .flat_map(|&big_e| {
-                    (0..n).filter_map(move |big_r| {
-                        Window::place(big_r, big_l, big_e, n).map(|w| (big_e, big_r, w))
-                    })
+                    (0..n).filter_map(move |big_r| Window::place(big_r, big_l, big_e, n))
                 })
                 .collect();
             if threads > 1 && pairs.len() > 1 {
@@ -411,7 +414,7 @@ impl<'a> BubbleConstruct<'a> {
                                         ProvArena::with_base(global_base);
                                     let mut fams = Vec::with_capacity(chunk.len());
                                     let mut failure = None;
-                                    for &(_, _, outer) in chunk {
+                                    for &outer in chunk {
                                         match compose_group(
                                             ctx,
                                             cfg,
@@ -480,7 +483,7 @@ impl<'a> BubbleConstruct<'a> {
                     let seg_off = arena.len();
                     let rebase = |id: ProvId| {
                         if id.index() >= global_base {
-                            ProvId::new((seg_off + (id.index() - global_base)) as u32)
+                            ProvId::from_index(seg_off + (id.index() - global_base))
                         } else {
                             id
                         }
@@ -504,7 +507,7 @@ impl<'a> BubbleConstruct<'a> {
                         });
                     }
                     for mut fam in shard.fams {
-                        let (big_e, big_r, _) = pairs[pair_idx];
+                        let outer = pairs[pair_idx];
                         pair_idx += 1;
                         // The chaos site fires on the coordinating thread,
                         // once per pair in pair order, exactly like the
@@ -516,11 +519,11 @@ impl<'a> BubbleConstruct<'a> {
                                 c.map_prov(rebase);
                             }
                         }
-                        gamma.insert(big_l as u16, big_e.index(), big_r as u16, Arc::new(fam));
+                        gamma.insert(outer, Arc::new(fam));
                     }
                 }
             } else {
-                for &(big_e, big_r, outer) in &pairs {
+                for &outer in &pairs {
                     let mut fam = compose_group(
                         &ctx, cfg, shapes, order, &gamma, outer, big_l, budget, &mut cache,
                         &mut arena,
@@ -531,7 +534,7 @@ impl<'a> BubbleConstruct<'a> {
                     for c in &mut fam {
                         c.thin_to(cfg.max_curve_points);
                     }
-                    gamma.insert(big_l as u16, big_e.index(), big_r as u16, Arc::new(fam));
+                    gamma.insert(outer, Arc::new(fam));
                 }
             }
             budget.check()?;
@@ -547,7 +550,13 @@ impl<'a> BubbleConstruct<'a> {
         // (the source is a candidate); one more explicit hop to the source
         // collects structures rooted elsewhere.
         let drop_final_curve = merlin_curves::fault::trip("core.construct.final");
-        let top = gamma.get(n as u16, 0, (n - 1) as u16);
+        let whole = Window {
+            right: n - 1,
+            covered: n,
+            shape: Shape::Chi0,
+        };
+        let (l, e, r) = whole.gamma_key();
+        let top = gamma.get(l, e, r);
         let src_idx = candidates
             .iter()
             .position(|&p| p == self.net.source)

@@ -37,6 +37,7 @@ use merlin_geom::{manhattan, Point};
 use merlin_tech::units::{Cap, PsTime};
 use merlin_tech::Technology;
 
+use crate::chi::Window;
 use crate::children::Child;
 use crate::extract::Step;
 
@@ -171,9 +172,9 @@ impl Gamma {
         Gamma::default()
     }
 
-    /// Stores the curves of group `(l, e, r)`.
-    pub fn insert(&mut self, l: u16, e: u8, r: u16, fam: CurveFam) {
-        self.map.insert((l, e, r), fam);
+    /// Stores the curves of the group over `window`.
+    pub fn insert(&mut self, window: Window, fam: CurveFam) {
+        self.map.insert(window.gamma_key(), fam);
     }
 
     /// Fetches the curves of group `(l, e, r)`.
@@ -182,13 +183,15 @@ impl Gamma {
     ///
     /// Panics if the group has not been constructed yet (the bottom-up
     /// level order guarantees availability).
+    #[expect(
+        clippy::panic,
+        reason = "Γ entries are filled in dependency order, so a missing one is a \
+                  construction-order bug worth dying loudly on"
+    )]
     pub fn get(&self, l: u16, e: u8, r: u16) -> CurveFam {
         Arc::clone(
             self.map
                 .get(&(l, e, r))
-                // Γ entries are filled in dependency order, so a missing entry is a
-                // construction-order bug worth dying loudly on.
-                // audit:allow(panic)
                 .unwrap_or_else(|| panic!("Γ({l},{e},{r}) not constructed yet")),
         )
     }
@@ -292,7 +295,7 @@ fn compute_range(
                                 load: a.load + b.load,
                                 req: a.req.min(b.req),
                                 area: a.area + b.area,
-                                prov: ProvId::new(pending.len() as u32),
+                                prov: ProvId::from_index(pending.len()),
                             };
                             if champs.dominates(&cand) {
                                 skipped += 1;
@@ -336,6 +339,10 @@ fn compute_range(
         for (pi, c) in m.iter_mut().enumerate() {
             pending.clear();
             let all: Vec<u16>;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "nets have < 2^16 candidate points"
+            )]
             let sources: &[u16] = if ctx.neighbors.is_empty() || ctx.neighbors[pi].is_empty() {
                 all = (0..snapshot.len() as u16).collect();
                 &all
@@ -389,6 +396,10 @@ fn base_curves(
                 .map(|(pi, &p)| {
                     let len = manhattan(p, sink.pos);
                     let mut c = Curve::with_capacity(1);
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "nets have < 2^16 candidate points"
+                    )]
                     // audit:allow(push-without-prune): one point is trivially non-inferior.
                     c.push(CurvePoint::with_load(
                         sink.load + ctx.tech.wire.wire_cap(len),
@@ -457,7 +468,7 @@ pub(crate) fn shifted_sources(
                 load: a.load + wc,
                 req: a.req - ctx.tech.wire.elmore_ps(len, a.load),
                 area: a.area,
-                prov: ProvId::new(pending.len() as u32),
+                prov: ProvId::from_index(pending.len()),
             };
             if champs.dominates(&cand) {
                 *skipped += 1;
@@ -476,6 +487,7 @@ pub(crate) fn shifted_sources(
 }
 
 #[cfg(test)]
+#[expect(clippy::cast_possible_truncation, reason = "test indices are small")]
 mod tests {
     use super::*;
 

@@ -68,6 +68,10 @@ pub fn req_profile(curve: &Curve, samples: usize) -> Vec<(u64, f64)> {
     let samples = samples.max(2);
     (0..samples)
         .map(|i| {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the quotient is at most max_area - min_area, a u64"
+            )]
             let budget = st.min_area
                 + ((st.max_area - st.min_area) as u128 * i as u128 / (samples - 1) as u128) as u64;
             let best = curve
@@ -90,6 +94,7 @@ pub fn strict_improvements<'a>(a: &'a Curve, b: &Curve) -> Vec<&'a CurvePoint> {
 }
 
 #[cfg(test)]
+#[expect(clippy::cast_possible_truncation, reason = "test indices are small")]
 mod tests {
     use super::*;
     use crate::arena::ProvId;

@@ -16,6 +16,17 @@ impl ProvId {
         ProvId(idx)
     }
 
+    /// Creates a handle from a `usize` position: an engine's pending-step
+    /// index or an offset into a [`ProvArena`].
+    #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "pending-step lists stay far below 2^32, and ProvArena::push checks every arena id"
+    )]
+    pub fn from_index(idx: usize) -> Self {
+        ProvId(idx as u32)
+    }
+
     /// The raw index.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -45,10 +56,20 @@ pub trait ProvStep {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProvArenaError {
     /// A step references a handle outside the arena.
-    OutOfBounds { step: usize, child: ProvId },
+    OutOfBounds {
+        /// Index of the referencing step.
+        step: usize,
+        /// The out-of-range handle.
+        child: ProvId,
+    },
     /// A step references itself or a later step, which would make the
     /// back-pointer graph cyclic (or at least non-topological).
-    ForwardReference { step: usize, child: ProvId },
+    ForwardReference {
+        /// Index of the referencing step.
+        step: usize,
+        /// The handle at or past `step`.
+        child: ProvId,
+    },
 }
 
 impl fmt::Display for ProvArenaError {
@@ -211,8 +232,8 @@ impl<S: ProvStep> ProvArena<S> {
     #[inline]
     pub fn debug_validate(&self, ctx: &str) {
         #[cfg(any(debug_assertions, feature = "invariant-checks"))]
+        #[expect(clippy::panic, reason = "this is the invariant checker")]
         if let Err(e) = self.validate() {
-            // audit:allow(panic): this IS the invariant checker.
             panic!("provenance arena invariant violated at {ctx}: {e}");
         }
     }
@@ -226,6 +247,7 @@ impl<S> std::ops::Index<ProvId> for ProvArena<S> {
 }
 
 #[cfg(test)]
+#[expect(clippy::cast_possible_truncation, reason = "test indices are small")]
 mod tests {
     use super::*;
 

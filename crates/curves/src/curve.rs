@@ -498,8 +498,8 @@ impl Curve {
     #[inline]
     pub fn debug_check_noninferior(&self, ctx: &str) {
         #[cfg(any(debug_assertions, feature = "invariant-checks"))]
+        #[expect(clippy::panic, reason = "this is the invariant checker")]
         if let Err(e) = self.check_invariants() {
-            // audit:allow(panic): this IS the invariant checker.
             panic!(
                 "curve invariant violated after {ctx}: {e} ({} points)",
                 self.len()
@@ -796,6 +796,7 @@ impl<'a> IntoIterator for &'a Curve {
 }
 
 #[cfg(test)]
+#[expect(clippy::cast_possible_truncation, reason = "test indices are small")]
 mod tests {
     use super::*;
 

@@ -225,7 +225,7 @@ mod registry {
             }
         });
         match action {
-            // audit:allow(panic): the whole point of this site is a deliberate, injected panic.
+            #[expect(clippy::panic, reason = "the site exists to inject this panic")]
             Some((FaultKind::Panic, _)) => panic!("injected fault at site `{site}`"),
             Some((FaultKind::Stall, stall)) => {
                 std::thread::sleep(stall);
@@ -325,6 +325,10 @@ mod tests {
         disarm_all();
         arm("curves.test.panic", FaultKind::Panic, 2);
         assert!(!trip("curves.test.panic"));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test observes the injected panic"
+        )]
         let caught = std::panic::catch_unwind(|| trip("curves.test.panic"));
         assert!(caught.is_err(), "second hit panics");
         disarm_all();

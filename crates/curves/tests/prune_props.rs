@@ -5,6 +5,7 @@
 //! here they are exercised on randomized inputs so the checkers themselves
 //! are cross-validated against the O(s²) reference predicate
 //! [`Curve::is_pruned`].
+#![expect(clippy::cast_possible_truncation, reason = "test indices are small")]
 
 use std::cmp::Ordering;
 

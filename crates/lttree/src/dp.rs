@@ -81,6 +81,7 @@ impl<'a> LtTree<'a> {
 
         // Sort most-critical-first (ascending required time): Touati's
         // canonical order; less critical sinks go deeper into the chain.
+        #[expect(clippy::cast_possible_truncation, reason = "nets have < 2^32 sinks")]
         let mut idx: Vec<u32> = (0..n as u32).collect();
         idx.sort_by(|&a, &b| ps_cmp(sinks[a as usize].1, sinks[b as usize].1).then(a.cmp(&b)));
         let load = |i: usize| sinks[idx[i] as usize].0;
@@ -112,6 +113,10 @@ impl<'a> LtTree<'a> {
                 let base_req = range_req(i, j);
                 if !has_chain {
                     for (bi, buf) in lib.iter().enumerate() {
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "< 2^16 cells and < 2^32 sinks"
+                        )]
                         c.push(CurvePoint::with_load(
                             buf.cin,
                             base_req - buf.delay_linear_ps(base_load),
@@ -131,6 +136,10 @@ impl<'a> LtTree<'a> {
                         let below = base_load + cp.load;
                         let r = base_req.min(cp.req);
                         for (bi, buf) in lib.iter().enumerate() {
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "< 2^16 cells and < 2^32 sinks"
+                            )]
                             c.push(CurvePoint::with_load(
                                 buf.cin,
                                 r - buf.delay_linear_ps(below),
@@ -163,7 +172,7 @@ impl<'a> LtTree<'a> {
                         area: u64,
                         last: u32,
                         chain: Option<ProvId>| {
-            let prov = ProvId::new(tops.len() as u32);
+            let prov = ProvId::from_index(tops.len());
             tops.push((last, chain));
             curve.push(CurvePoint::with_load(
                 root_load,
@@ -196,12 +205,14 @@ impl<'a> LtTree<'a> {
             let base_load = range_load(0, j);
             let base_req = range_req(0, j);
             if !has_chain {
+                #[expect(clippy::cast_possible_truncation, reason = "nets have < 2^32 sinks")]
                 push_top(
                     &mut curve, &mut tops, base_load, base_req, 0, j as u32, None,
                 );
             } else {
                 let pts: Vec<CurvePoint> = lt[j + 1].iter().copied().collect();
                 for cp in pts {
+                    #[expect(clippy::cast_possible_truncation, reason = "nets have < 2^32 sinks")]
                     push_top(
                         &mut curve,
                         &mut tops,

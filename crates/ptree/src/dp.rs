@@ -124,6 +124,10 @@ impl<'a> Ptree<'a> {
             for (pi, &p) in candidates.iter().enumerate() {
                 let len = manhattan(p, sink.pos);
                 let mut c = Curve::with_capacity(1);
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "k <= u16::MAX is asserted on entry"
+                )]
                 c.push(CurvePoint::with_load(
                     sink.load + wire.wire_cap(len),
                     sink.req_ps - wire.elmore_ps(len, sink.load),
@@ -156,7 +160,7 @@ impl<'a> Ptree<'a> {
                         let right = &s[win(u + 1, j)][pi];
                         for a in left.iter() {
                             for b in right.iter() {
-                                let prov = ProvId::new(pending.len() as u32);
+                                let prov = ProvId::from_index(pending.len());
                                 pending.push(RouteStep::Merge {
                                     left: a.prov,
                                     right: b.prov,
@@ -188,7 +192,11 @@ impl<'a> Ptree<'a> {
                         let len = manhattan(p, q);
                         let wc = wire.wire_cap(len);
                         for a in sb[qi].iter() {
-                            let prov = ProvId::new(pending.len() as u32);
+                            let prov = ProvId::from_index(pending.len());
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "k <= u16::MAX is asserted on entry"
+                            )]
                             pending.push(RouteStep::Extend {
                                 to: pi as u16,
                                 child: a.prov,

@@ -8,9 +8,10 @@
 //! expected event, not console noise. Panics on threads that are *not*
 //! inside an isolation scope still reach the previous hook untouched.
 //!
-//! `merlin-audit` enforces that `catch_unwind` appears nowhere else in the
-//! workspace (rule `catch-unwind`), so this module is the one place where
-//! unwinding and error semantics meet.
+//! The root `clippy.toml` disallows `std::panic::catch_unwind`, and
+//! [`isolate`] is the one production site that carries an `#[expect]` for
+//! it, so this module is the one place where unwinding and error
+//! semantics meet.
 
 use std::cell::{Cell, RefCell};
 use std::panic::{self, AssertUnwindSafe};
@@ -76,6 +77,10 @@ impl Drop for SuppressGuard {
 ///
 /// Returns `f`'s own error unchanged, or [`SolverError::Panicked`] if `f`
 /// panicked.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this is the workspace's one panic boundary"
+)]
 pub fn isolate<T>(
     context: &str,
     f: impl FnOnce() -> Result<T, SolverError>,

@@ -11,8 +11,8 @@
 //!   (`BudgetExceeded`, `InvalidNet`, `Panicked`, `EmptyCurve`,
 //!   `AuditFailed`) every fallible solver entry point returns,
 //! * [`isolate::isolate`] — the workspace's single sanctioned
-//!   `catch_unwind` boundary (enforced by the `merlin-audit`
-//!   `catch-unwind` rule),
+//!   `catch_unwind` boundary (the root `clippy.toml` disallows the call
+//!   everywhere else),
 //! * [`ladder::run_ladder`] — the generic graceful-degradation engine that
 //!   tries weighted tiers under budget slices and always returns a value,
 //! * [`report::DegradationReport`] — which tier served, why earlier tiers

@@ -1,4 +1,5 @@
-//! A minimal JSON codec for the wire protocol.
+//! A minimal JSON codec for the wire protocol, and the workspace's one
+//! JSON parser (the root tests also check the trace exports with it).
 //!
 //! The workspace is zero-dependency, so the server carries its own
 //! parser/renderer instead of pulling in `serde`. The dialect is plain
@@ -252,20 +253,51 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
     }
 }
 
+/// Reads one RFC 8259 number,
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`: no leading
+/// zeros (`01`), no bare fraction point (`1.`, `1.e5`).
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    let int_start = *pos;
+    match eat_digits(bytes, pos) {
+        0 => return Err(format!("expected digits at byte {}", *pos)),
+        1 => {}
+        _ if bytes[int_start] == b'0' => {
+            return Err(format!("leading zero in number at byte {start}"))
+        }
+        _ => {}
+    }
+    if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
+        if eat_digits(bytes, pos) == 0 {
+            return Err(format!("expected fraction digits at byte {}", *pos));
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if eat_digits(bytes, pos) == 0 {
+            return Err(format!("expected exponent digits at byte {}", *pos));
+        }
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|e| format!("bad number `{text}`: {e}"))
+}
+
+/// Consumes a run of ASCII digits and returns its length.
+fn eat_digits(bytes: &[u8], pos: &mut usize) -> usize {
+    let start = *pos;
+    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+        *pos += 1;
+    }
+    *pos - start
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -325,13 +357,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&c) if c < 0x20 => return Err("raw control byte in string".to_string()),
             Some(_) => {
-                // Consume one UTF-8 scalar (input is &str, so this is safe
-                // to slice on char boundaries via str indexing).
-                let rest = &bytes[*pos..];
-                let text = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                let ch = text.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote, backslash or control
+                // byte in one piece. Those are ASCII, so the run ends on a
+                // char boundary of the (already UTF-8) input, and each
+                // byte is looked at a bounded number of times.
+                let start = *pos;
+                while bytes
+                    .get(*pos)
+                    .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+                {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
@@ -365,16 +403,52 @@ mod tests {
     }
 
     #[test]
+    fn accepts_well_formed_documents() {
+        for ok in [
+            "{}",
+            "[]",
+            "null",
+            "true",
+            "0",
+            "-0",
+            "-12.5e+3",
+            "0.125",
+            "1E-2",
+            "\"a\\n\\u00e9\"",
+            "{\"a\":[1,2,{\"b\":null}],\"c\":\"x\"}",
+            " { \"k\" : [ 1 , 2 ] } ",
+        ] {
+            assert!(parse(ok).is_ok(), "`{ok}` should parse: {:?}", parse(ok));
+        }
+    }
+
+    #[test]
     fn rejects_malformed_input() {
         for bad in [
             "",
             "{",
             "[1,",
+            "[1,]",
+            "{\"a\":}",
             "{\"a\" 1}",
             "\"unterminated",
+            "\"bad\\q\"",
             "{\"a\":1} trailing",
+            "{} extra",
             "\"\\ud800\"",
             "nul",
+            "[1 2]",
+            "01",
+            "-01",
+            "00",
+            "[01]",
+            "1.",
+            "1.e5",
+            "-",
+            "1e",
+            "1e+",
+            ".5",
+            "+1",
         ] {
             assert!(parse(bad).is_err(), "`{bad}` should not parse");
         }
@@ -389,6 +463,22 @@ mod tests {
         // Control characters render as escapes and survive a round trip.
         let original = Json::Str("line1\nline2\u{1}".to_string());
         assert_eq!(parse(&original.render()).expect("reparse"), original);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of two-byte characters: a parse that re-validated the rest
+        // of the input per character would take minutes here.
+        let body = "é".repeat(1 << 19);
+        let line = format!("{{\"net\":\"{body}\"}}");
+        let started = std::time::Instant::now();
+        let value = parse(&line).expect("parse");
+        let elapsed = started.elapsed();
+        assert_eq!(value.get("net").and_then(Json::as_str), Some(body.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "parsing a 1 MiB string took {elapsed:?}"
+        );
     }
 
     #[test]

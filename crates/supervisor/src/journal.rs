@@ -263,7 +263,9 @@ pub fn quarantine_segment_path(journal: &Path) -> PathBuf {
 
 /// Every journal file belonging to `journal`: the base path itself (if
 /// present — e.g. a thread-mode run being resumed in process mode) plus
-/// all `<journal>.seg*` siblings, in sorted order. The sort is cosmetic:
+/// its `<journal>.seg<N>` and `<journal>.segq` siblings, in sorted order.
+/// Other `<journal>.seg…` names, such as the workers' `.seg<N>.trace`
+/// wire files, are not journals. The sort is cosmetic:
 /// [`merge_segments`] is order-independent.
 ///
 /// # Errors
@@ -284,10 +286,13 @@ pub fn segment_paths(journal: &Path) -> std::io::Result<Vec<PathBuf>> {
             let seg_prefix = format!("{base_name}.seg");
             for entry in entries {
                 let entry = entry?;
-                if let Some(name) = entry.file_name().to_str() {
-                    if name.starts_with(&seg_prefix) {
-                        found.push(entry.path());
-                    }
+                let name = entry.file_name();
+                let Some(suffix) = name.to_str().and_then(|n| n.strip_prefix(&seg_prefix)) else {
+                    continue;
+                };
+                let numbered = !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit());
+                if numbered || suffix == "q" {
+                    found.push(entry.path());
                 }
             }
         }
@@ -744,8 +749,10 @@ mod tests {
         JournalWriter::create(&segment_path(&journal, 0)).expect("seg0");
         JournalWriter::create(&segment_path(&journal, 3)).expect("seg3");
         JournalWriter::create(&quarantine_segment_path(&journal)).expect("segq");
-        // An unrelated sibling must not be picked up.
+        // Neither an unrelated sibling nor a worker's trace wire file is
+        // a journal.
         std::fs::write(dir.join("other.journal"), b"x").expect("sibling");
+        std::fs::write(dir.join("run.journal.seg0.trace"), b"x").expect("wire file");
         let paths = segment_paths(&journal).expect("list");
         assert_eq!(paths.len(), 4);
         assert_eq!(paths[0], journal);

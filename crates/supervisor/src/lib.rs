@@ -43,7 +43,7 @@
 //!
 //! The crate deliberately contains **no** `catch_unwind`: panic isolation
 //! stays at the single sanctioned boundary in `merlin_resilience::isolate`
-//! (enforced workspace-wide by the `merlin-audit` `catch-unwind` rule).
+//! (the root `clippy.toml` disallows `catch_unwind` everywhere else).
 //! See `docs/RESILIENCE.md` for the full model.
 
 pub mod artifact;

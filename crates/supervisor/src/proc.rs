@@ -309,8 +309,11 @@ pub fn worker_handshake_ok(value: Option<&str>) -> bool {
 /// wedged orphan cannot unwind a stuck solve from another thread, so a
 /// hard exit is the only way to stop racing a resumed batch for the
 /// segment file.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this is the sanctioned exit wrapper"
+)]
 pub fn worker_exit(code: u8) -> ! {
-    // audit:allow(no-raw-exit) — this fn IS the sanctioned wrapper.
     std::process::exit(i32::from(code))
 }
 

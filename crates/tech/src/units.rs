@@ -25,12 +25,16 @@ pub type PsTime = f64;
 /// Total ordering for delay/required-time values.
 ///
 /// All delay comparisons in the workspace go through this helper (the
-/// `merlin-audit` `float-cmp` rule rejects raw `partial_cmp`/`total_cmp`
-/// on the DP hot paths): it gives the IEEE-754 `totalOrder`, so sorting
-/// and `max_by`/`min_by` never see an incomparable pair, and in
+/// root `clippy.toml` disallows a raw `f64::total_cmp`): it
+/// gives the IEEE-754 `totalOrder`, so sorting and `max_by`/`min_by`
+/// never see an incomparable pair, and in
 /// debug/`invariant-checks` builds it asserts that no NaN reached a
 /// comparison — a NaN required time silently corrupts curve pruning.
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this is the one sanctioned delay comparison"
+)]
 pub fn ps_cmp(a: PsTime, b: PsTime) -> Ordering {
     #[cfg(any(debug_assertions, feature = "invariant-checks"))]
     {

