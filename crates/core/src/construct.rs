@@ -11,7 +11,7 @@
 //! (Theorem 4), which the exhaustive small-`n` tests in the workspace
 //! verify against per-member fixed-order runs.
 
-use merlin_curves::{Curve, CurvePoint, ProvArena, ProvId};
+use merlin_curves::{Curve, CurvePoint, ProvArena, ProvId, ProvStep};
 use merlin_geom::{manhattan, Point};
 use merlin_netlist::{Net, NetValidationError};
 use merlin_order::SinkOrder;
@@ -26,7 +26,7 @@ use crate::children::{child_sequence, child_sequence_multi, Child};
 use crate::config::{Constraint, MerlinConfig};
 use crate::extract::{extract_tree, Step};
 use crate::star_ptree::{
-    range_curves, shifted_sources, Champions, Gamma, SinkView, StarCache, StarCtx,
+    final_hop, hop_table, range_curves, Gamma, Scratch, SinkView, StarCache, StarCtx,
 };
 
 /// Resolves the [`MerlinConfig::threads`] knob: `0` = one worker per
@@ -75,6 +75,7 @@ fn compose_group(
     budget: &SolveBudget,
     cache: &mut StarCache,
     arena: &mut ProvArena<Step>,
+    scratch: &mut Scratch,
 ) -> Result<Vec<Curve>, SolverError> {
     let k = ctx.cands.len();
     let l_min = big_l.saturating_sub(cfg.alpha - 1).max(1);
@@ -84,16 +85,17 @@ fn compose_group(
                    fam: &mut Vec<Curve>,
                    seen: &mut HashSet<Vec<Child>>,
                    cache: &mut StarCache,
-                   arena: &mut ProvArena<Step>|
+                   arena: &mut ProvArena<Step>,
+                   scratch: &mut Scratch|
      -> Result<(), SolverError> {
         if !seen.insert(seq.clone()) {
             return Ok(());
         }
-        let curves = range_curves(ctx, &seq, gamma, cache, arena);
+        let curves = range_curves(ctx, &seq, gamma, cache, arena, scratch);
         let mut work = 1u64;
         for (p, c) in curves.iter().enumerate() {
             work += c.len() as u64;
-            fam[p].absorb(c);
+            fam[p].absorb(c, &mut scratch.curves);
         }
         budget.charge(work)?;
         budget.check_deadline()?;
@@ -112,7 +114,7 @@ fn compose_group(
                 let Some(seq) = child_sequence(outer, inner, order) else {
                     continue;
                 };
-                consume(seq, &mut fam, &mut seen, cache, arena)?;
+                consume(seq, &mut fam, &mut seen, cache, arena, scratch)?;
             }
         }
     }
@@ -143,7 +145,7 @@ fn compose_group(
                                 else {
                                     continue;
                                 };
-                                consume(seq, &mut fam, &mut seen, cache, arena)?;
+                                consume(seq, &mut fam, &mut seen, cache, arena, scratch)?;
                             }
                         }
                     }
@@ -180,7 +182,8 @@ pub struct ConstructStats {
     pub cache_hits: u64,
     /// `*PTREE` cache misses (distinct sub-problems actually solved).
     pub cache_misses: u64,
-    /// Provenance steps allocated.
+    /// Provenance steps allocated: one per point that survived its
+    /// site's last thinning, plus the steps those points build on.
     pub arena_steps: usize,
 }
 
@@ -322,6 +325,7 @@ impl<'a> BubbleConstruct<'a> {
                 })
                 .collect()
         };
+        let hops = hop_table(&self.tech.wire, &candidates);
         let ctx = StarCtx {
             tech: self.tech,
             cands: &candidates,
@@ -332,6 +336,7 @@ impl<'a> BubbleConstruct<'a> {
             neighbors: &neighbors,
             enforce_max_load: cfg.enforce_max_load,
             policy: cfg.prune_policy(),
+            hops: &hops,
         };
         let shapes: &[Shape] = if cfg.enable_bubbling {
             &ALL_SHAPES
@@ -342,6 +347,7 @@ impl<'a> BubbleConstruct<'a> {
         let mut gamma = Gamma::new();
         let mut cache = StarCache::new();
         let mut arena: ProvArena<Step> = ProvArena::new();
+        let mut scratch = Scratch::default();
         let _construct_span = merlin_trace::span!("core.construct", n);
         let traced = merlin_trace::is_enabled();
         // Cα-tree level sizes: points added to Γ at each level L, observed
@@ -358,7 +364,8 @@ impl<'a> BubbleConstruct<'a> {
                     if let Some(w) = Window::place(r, 1, *shape, n) {
                         let pos = w.covered_positions()[0];
                         let seq = [Child::Sink(order.sink_at(pos))];
-                        let fam = range_curves(&ctx, &seq, &gamma, &mut cache, &mut arena);
+                        let fam =
+                            range_curves(&ctx, &seq, &gamma, &mut cache, &mut arena, &mut scratch);
                         let work: u64 = fam.iter().map(|c| c.len() as u64).sum();
                         budget.charge(work + 1)?;
                         gamma.insert(w, fam);
@@ -410,6 +417,7 @@ impl<'a> BubbleConstruct<'a> {
                                         merlin_trace::enable();
                                     }
                                     let mut shard_cache = StarCache::new();
+                                    let mut shard_scratch = Scratch::default();
                                     let mut seg: ProvArena<Step> =
                                         ProvArena::with_base(global_base);
                                     let mut fams = Vec::with_capacity(chunk.len());
@@ -426,10 +434,12 @@ impl<'a> BubbleConstruct<'a> {
                                             budget,
                                             &mut shard_cache,
                                             &mut seg,
+                                            &mut shard_scratch,
                                         ) {
                                             Ok(mut fam) => {
                                                 for c in &mut fam {
                                                     c.thin_to(cfg.max_curve_points);
+                                                    c.shrink_to_fit();
                                                 }
                                                 fams.push(fam);
                                             }
@@ -490,21 +500,7 @@ impl<'a> BubbleConstruct<'a> {
                     };
                     merlin_trace::counter("core.parallel.steps.rebased", shard.steps.len() as u64);
                     for step in shard.steps {
-                        arena.push(match step {
-                            Step::Merge { left, right } => Step::Merge {
-                                left: rebase(left),
-                                right: rebase(right),
-                            },
-                            Step::Extend { to, child } => Step::Extend {
-                                to,
-                                child: rebase(child),
-                            },
-                            Step::Buffer { buf, child } => Step::Buffer {
-                                buf,
-                                child: rebase(child),
-                            },
-                            route @ Step::Route { .. } => route,
-                        });
+                        arena.push(step.map_children(rebase));
                     }
                     for mut fam in shard.fams {
                         let outer = pairs[pair_idx];
@@ -525,14 +521,24 @@ impl<'a> BubbleConstruct<'a> {
             } else {
                 for &outer in &pairs {
                     let mut fam = compose_group(
-                        &ctx, cfg, shapes, order, &gamma, outer, big_l, budget, &mut cache,
+                        &ctx,
+                        cfg,
+                        shapes,
+                        order,
+                        &gamma,
+                        outer,
+                        big_l,
+                        budget,
+                        &mut cache,
                         &mut arena,
+                        &mut scratch,
                     )?;
                     if merlin_curves::fault::trip("core.construct.group") {
                         fam = vec![Curve::new(); k];
                     }
                     for c in &mut fam {
                         c.thin_to(cfg.max_curve_points);
+                        c.shrink_to_fit();
                     }
                     gamma.insert(outer, Arc::new(fam));
                 }
@@ -562,31 +568,9 @@ impl<'a> BubbleConstruct<'a> {
             .position(|&p| p == self.net.source)
             .expect("candidate generation always includes the source");
         let mut curve = top[src_idx].clone();
-        {
-            let mut pending: Vec<Step> = Vec::new();
-            let mut skipped = 0u64;
-            // Extensions dominated by the source-rooted curve (or by an
-            // earlier kept extension) cannot survive the absorb below.
-            // Seeding from the absorb target is sound here because nothing
-            // transforms the additions between their prune and the absorb,
-            // and the target's points carry older arena provenance so they
-            // win exact ties either way.
-            let mut additions = shifted_sources(
-                &ctx,
-                &top,
-                0..top.len(),
-                src_idx,
-                Champions::seeded(&curve),
-                &mut pending,
-                &mut skipped,
-            );
-            additions.reduce(ctx.policy);
-            additions.finalize(&pending, &mut arena);
-            curve.absorb(&additions);
-            curve.reduce(ctx.policy);
-            if skipped > 0 && traced {
-                merlin_trace::counter("curves.prune.predictive.extend", skipped);
-            }
+        let skipped = final_hop(&ctx, &top, src_idx, &mut curve, &mut arena, &mut scratch);
+        if skipped > 0 && traced {
+            merlin_trace::counter("curves.prune.predictive.extend", skipped);
         }
         if drop_final_curve {
             curve = Curve::new();

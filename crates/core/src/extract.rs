@@ -39,14 +39,21 @@ pub enum Step {
 }
 
 impl ProvStep for Step {
-    fn push_children(&self, out: &mut Vec<ProvId>) {
-        match *self {
-            Step::Route { .. } => {}
-            Step::Merge { left, right } => {
-                out.push(left);
-                out.push(right);
-            }
-            Step::Extend { child, .. } | Step::Buffer { child, .. } => out.push(child),
+    fn map_children(self, mut f: impl FnMut(ProvId) -> ProvId) -> Self {
+        match self {
+            route @ Step::Route { .. } => route,
+            Step::Merge { left, right } => Step::Merge {
+                left: f(left),
+                right: f(right),
+            },
+            Step::Extend { to, child } => Step::Extend {
+                to,
+                child: f(child),
+            },
+            Step::Buffer { buf, child } => Step::Buffer {
+                buf,
+                child: f(child),
+            },
         }
     }
 }

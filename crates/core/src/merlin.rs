@@ -45,14 +45,17 @@ pub struct MerlinOutcome {
     pub cost_trace: Vec<f64>,
     /// The fixpoint sink order.
     pub final_order: SinkOrder,
-    /// Diagnostics of the last `BUBBLE_CONSTRUCT` run.
+    /// Diagnostics of the best accepted `BUBBLE_CONSTRUCT` run: the one
+    /// whose tree is returned, not necessarily the last one.
     pub stats: ConstructStats,
     /// Whether the search stopped early because its [`SolveBudget`] ran
     /// out (the returned tree is the best one found so far). Always
     /// `false` for the unbudgeted entry points.
     pub budget_hit: bool,
-    /// The last run's full result (curve + extraction context), for callers
-    /// that want other trade-off points.
+    /// The best accepted run's full result (curve + extraction context),
+    /// for callers that want other trade-off points. Despite the name it
+    /// is not necessarily the last run: a later pass that did not improve
+    /// the cost is dropped.
     pub last_run: ConstructResult,
 }
 

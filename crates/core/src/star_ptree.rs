@@ -28,14 +28,30 @@
 //! builds one staircase per buffer and merges them instead of sorting all
 //! `s × b` raw options; relocation merges its wire-shifted source curves
 //! the same way ([`shifted_sources`]).
+//!
+//! **Provenance steps exist only for points that survive thinning.** Each
+//! site — a root's merges, its root buffers, one relocation round at a
+//! root — records the steps of its new points as *pending*, numbered on
+//! from the arena's next handle so that they sort above every live one,
+//! and gives arena steps ([`Curve::finalize`]) only to the points left
+//! after its last thin, plus the pending steps those build on. Sites
+//! finalize in the order they run, and within a site no tie-break ever
+//! compares two of its surviving points by provenance (they leave the
+//! site in one pruned and reduced curve, so no two share a `(load, area)`
+//! or a reduced key), so curves and extracted trees are those of an
+//! engine that stores every step.
+//!
+//! One [`Scratch`] per run (or per level-shard worker) holds the buffers
+//! every operator call reuses, so the inner loop allocates only the
+//! curves it keeps.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use merlin_curves::{Curve, CurvePoint, ProvArena, ProvId, PrunePolicy};
+use merlin_curves::{Curve, CurvePoint, CurveScratch, ProvArena, ProvId, PrunePolicy};
 use merlin_geom::{manhattan, Point};
-use merlin_tech::units::{Cap, PsTime};
-use merlin_tech::Technology;
+use merlin_tech::units::{rc_ps, Cap, PsTime};
+use merlin_tech::{Technology, WireModel};
 
 use crate::chi::Window;
 use crate::children::Child;
@@ -52,7 +68,7 @@ use crate::extract::Step;
 /// and the prune order is a total order with a provenance tie-break, the
 /// pruned curve is byte-identical with the filter on or off.
 #[derive(Debug, Default)]
-pub(crate) struct Champions {
+struct Champions {
     best_req: Option<CurvePoint>,
     min_area: Option<CurvePoint>,
 }
@@ -61,7 +77,7 @@ impl Champions {
     /// Champions over the points of an already-kept curve (candidates
     /// later absorbed into `seed` compete against its points too, and the
     /// absorb-side representative always carries the older provenance).
-    pub(crate) fn seeded(seed: &Curve) -> Self {
+    fn seeded(seed: &Curve) -> Self {
         let mut c = Champions::default();
         for p in seed.iter() {
             c.keep(p);
@@ -71,14 +87,14 @@ impl Champions {
 
     /// Whether an already-kept candidate dominates `cand` (Definition 6).
     #[inline]
-    pub(crate) fn dominates(&self, cand: &CurvePoint) -> bool {
+    fn dominates(&self, cand: &CurvePoint) -> bool {
         self.best_req.is_some_and(|c| c.dominates(cand))
             || self.min_area.is_some_and(|c| c.dominates(cand))
     }
 
     /// Records a kept candidate.
     #[inline]
-    pub(crate) fn keep(&mut self, cand: &CurvePoint) {
+    fn keep(&mut self, cand: &CurvePoint) {
         if self.best_req.is_none_or(|c| cand.req > c.req) {
             self.best_req = Some(*cand);
         }
@@ -157,6 +173,97 @@ pub struct StarCtx<'a> {
     /// Post-prune load-quantization / predictive-pruning dial applied to
     /// every curve the DP builds ([`PrunePolicy::EXACT`] = lossless).
     pub policy: PrunePolicy,
+    /// Relocation wires: `hops[to * k + from]` for the `k` candidates
+    /// ([`hop_table`]).
+    pub hops: &'a [Hop],
+}
+
+/// The wire of one relocation hop between two candidates, evaluated once
+/// per run: its capacitance, its resistance, and half its capacitance in
+/// fF.
+#[derive(Clone, Copy, Debug)]
+pub struct Hop {
+    cap: Cap,
+    res_ohm: f64,
+    half_cap_ff: f64,
+}
+
+impl Hop {
+    fn new(wire: &WireModel, len: u64) -> Self {
+        let cap = wire.wire_cap(len);
+        Hop {
+            cap,
+            res_ohm: wire.wire_res(len),
+            half_cap_ff: cap.to_ff() / 2.0,
+        }
+    }
+
+    /// The Elmore delay of this wire into `load`, with
+    /// [`WireModel::elmore_ps`]'s own arithmetic, so to the bit.
+    #[inline]
+    fn delay_ps(&self, load: Cap) -> PsTime {
+        rc_ps(self.res_ohm, self.half_cap_ff + load.to_ff())
+    }
+}
+
+/// The `k × k` relocation wires over `cands` (see [`StarCtx::hops`]).
+pub fn hop_table(wire: &WireModel, cands: &[Point]) -> Vec<Hop> {
+    cands
+        .iter()
+        .flat_map(|&to| {
+            cands
+                .iter()
+                .map(move |&from| Hop::new(wire, manhattan(to, from)))
+        })
+        .collect()
+}
+
+/// The pending steps of the site being built. Pending ids number on from
+/// the arena's next handle, `first`, so they sort above every live one.
+#[derive(Debug, Default)]
+struct Pending {
+    first: usize,
+    steps: Vec<Step>,
+}
+
+impl Pending {
+    /// Starts a site.
+    fn open(&mut self, arena: &ProvArena<Step>) {
+        self.first = arena.next_index();
+        self.steps.clear();
+    }
+
+    /// Records a pending step and returns its pending id.
+    fn push(&mut self, step: Step) -> ProvId {
+        let id = ProvId::from_index(self.first + self.steps.len());
+        self.steps.push(step);
+        id
+    }
+}
+
+/// The buffers one `BUBBLE_CONSTRUCT` run, or one level-shard worker,
+/// reuses across its `*PTREE` operator calls: the curve operators'
+/// scratch, the raw candidates of the merge loop and of relocation with
+/// the latter's run ends, and the pending steps of the site being built.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    pub(crate) curves: CurveScratch,
+    raw: Curve,
+    ends: Vec<usize>,
+    pending: Pending,
+}
+
+impl Scratch {
+    /// Gives `c`'s pending points, and the pending steps they build on,
+    /// arena steps.
+    fn finalize(&mut self, c: &mut Curve, arena: &mut ProvArena<Step>) {
+        c.finalize(
+            self.pending.first,
+            &self.pending.steps,
+            arena,
+            &mut self.curves,
+        );
+    }
 }
 
 /// The Γ tables: finalized curve families of already-constructed groups,
@@ -222,13 +329,14 @@ pub fn range_curves(
     gamma: &Gamma,
     cache: &mut StarCache,
     arena: &mut ProvArena<Step>,
+    scratch: &mut Scratch,
 ) -> CurveFam {
     if let Some(hit) = cache.map.get(children) {
         cache.hits += 1;
         return Arc::clone(hit);
     }
     cache.misses += 1;
-    let fam = compute_range(ctx, children, gamma, cache, arena);
+    let fam = compute_range(ctx, children, gamma, cache, arena, scratch);
     cache
         .map
         .insert(children.to_vec().into_boxed_slice(), Arc::clone(&fam));
@@ -241,6 +349,7 @@ fn compute_range(
     gamma: &Gamma,
     cache: &mut StarCache,
     arena: &mut ProvArena<Step>,
+    scratch: &mut Scratch,
 ) -> CurveFam {
     let k = ctx.cands.len();
     // A singleton group range IS the group: its Γ family already received
@@ -258,21 +367,21 @@ fn compute_range(
         [] => return Arc::new(vec![Curve::new(); k]),
         [single] => base_curves(ctx, *single, gamma, arena),
         _ => {
-            let mut pending: Vec<Step> = Vec::new();
             let mut m = Vec::with_capacity(k);
             // All splits; sub-ranges come from the cache (recursively).
             let splits: Vec<(CurveFam, CurveFam)> = (1..children.len())
                 .map(|u| {
-                    let left = range_curves(ctx, &children[..u], gamma, cache, arena);
-                    let right = range_curves(ctx, &children[u..], gamma, cache, arena);
+                    let left = range_curves(ctx, &children[..u], gamma, cache, arena, scratch);
+                    let right = range_curves(ctx, &children[u..], gamma, cache, arena, scratch);
                     (left, right)
                 })
                 .collect();
             let traced = merlin_trace::is_enabled();
             let mut skipped = 0u64;
             for p in 0..k {
-                pending.clear();
-                let mut raw = Curve::new();
+                scratch.pending.open(arena);
+                let raw = &mut scratch.raw;
+                raw.clear();
                 let mut champs = Champions::default();
                 for (left, right) in &splits {
                     for a in left[p].iter() {
@@ -291,18 +400,18 @@ fn compute_range(
                                 }
                                 cap_area = b.area;
                             }
-                            let cand = CurvePoint {
+                            let mut cand = CurvePoint {
                                 load: a.load + b.load,
                                 req: a.req.min(b.req),
                                 area: a.area + b.area,
-                                prov: ProvId::from_index(pending.len()),
+                                prov: ProvId::new(0), // pending id below, once kept
                             };
                             if champs.dominates(&cand) {
                                 skipped += 1;
                                 continue;
                             }
                             champs.keep(&cand);
-                            pending.push(Step::Merge {
+                            cand.prov = scratch.pending.push(Step::Merge {
                                 left: a.prov,
                                 right: b.prov,
                             });
@@ -310,11 +419,12 @@ fn compute_range(
                         }
                     }
                 }
-                raw.prune();
-                raw.reduce(ctx.policy);
+                raw.prune_with(&mut scratch.curves);
+                raw.reduce(ctx.policy, &mut scratch.curves);
                 raw.thin_to(ctx.max_pts);
-                raw.finalize(&pending, arena);
-                m.push(raw);
+                let mut c = raw.clone();
+                scratch.finalize(&mut c, arena);
+                m.push(c);
             }
             if traced {
                 merlin_trace::counter("curves.prune.predictive.merge", skipped);
@@ -325,30 +435,30 @@ fn compute_range(
 
     // Root buffer options at every candidate.
     for c in &mut m {
-        *c = buffered(ctx, c, arena);
+        scratch.pending.open(arena);
+        *c = buffered(ctx, c, scratch);
         c.thin_to(ctx.max_pts);
+        scratch.finalize(c, arena);
     }
 
     // Relocation rounds: wire p → p' on top of the previous round, with
     // buffer options above the wire.
     let traced = merlin_trace::is_enabled();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "nets have < 2^16 candidate points"
+    )]
+    let all: Vec<u16> = (0..k as u16).collect();
     for _ in 0..ctx.reloc_rounds {
         let snapshot = m.clone();
-        let mut pending: Vec<Step> = Vec::new();
         let mut skipped = 0u64;
         for (pi, c) in m.iter_mut().enumerate() {
-            pending.clear();
-            let all: Vec<u16>;
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "nets have < 2^16 candidate points"
-            )]
             let sources: &[u16] = if ctx.neighbors.is_empty() || ctx.neighbors[pi].is_empty() {
-                all = (0..snapshot.len() as u16).collect();
                 &all
             } else {
                 &ctx.neighbors[pi]
             };
+            scratch.pending.open(arena);
             // Champions only over the additions themselves: `additions`
             // is buffered *after* its prune, and a wire extension that a
             // point of `c` dominates can still contribute a surviving
@@ -361,22 +471,25 @@ fn compute_range(
                 sources.iter().map(|&q| usize::from(q)),
                 pi,
                 Champions::default(),
-                &mut pending,
+                scratch,
                 &mut skipped,
             );
-            additions.reduce(ctx.policy);
+            additions.reduce(ctx.policy, &mut scratch.curves);
             additions.thin_to(ctx.max_pts);
-            additions.finalize(&pending, arena);
-            let additions = buffered(ctx, &additions, arena);
-            c.absorb(&additions);
-            c.reduce(ctx.policy);
+            let additions = buffered(ctx, &additions, scratch);
+            c.absorb(&additions, &mut scratch.curves);
+            c.reduce(ctx.policy, &mut scratch.curves);
             c.thin_to(ctx.max_pts);
+            scratch.finalize(c, arena);
         }
         if traced {
             merlin_trace::counter("curves.prune.predictive.extend", skipped);
         }
     }
-
+    // The family lives in the cache for the rest of the pass.
+    for c in &mut m {
+        c.shrink_to_fit();
+    }
     Arc::new(m)
 }
 
@@ -418,64 +531,105 @@ fn base_curves(
     }
 }
 
+/// The last relocation hop of a pass, with no buffers above it: every
+/// structure of `fam` rooted elsewhere, wired to candidate `to` and
+/// absorbed into `curve` (what became of `fam[to]`). Returns how many
+/// extensions the champions skipped.
+pub(crate) fn final_hop(
+    ctx: &StarCtx<'_>,
+    fam: &[Curve],
+    to: usize,
+    curve: &mut Curve,
+    arena: &mut ProvArena<Step>,
+    scratch: &mut Scratch,
+) -> u64 {
+    let mut skipped = 0u64;
+    scratch.pending.open(arena);
+    // Extensions dominated by `curve` (or by an earlier kept extension)
+    // cannot survive the absorb below. Seeding from the absorb target is
+    // sound here because nothing transforms the additions between their
+    // prune and the absorb, and the target's points carry live ids, below
+    // every pending one, so they win exact ties either way.
+    let mut additions = shifted_sources(
+        ctx,
+        fam,
+        0..fam.len(),
+        to,
+        Champions::seeded(curve),
+        scratch,
+        &mut skipped,
+    );
+    additions.reduce(ctx.policy, &mut scratch.curves);
+    curve.absorb(&additions, &mut scratch.curves);
+    curve.reduce(ctx.policy, &mut scratch.curves);
+    scratch.finalize(curve, arena);
+    skipped
+}
+
 /// Adds buffer options (selected library subset) at the curve's root;
-/// keeps the unbuffered originals. Only options that survive the union
-/// with the originals allocate arena steps.
-fn buffered(ctx: &StarCtx<'_>, curve: &Curve, arena: &mut ProvArena<Step>) -> Curve {
+/// keeps the unbuffered originals. Each option that survives the union
+/// with the originals gets a pending `Step::Buffer` in the open site.
+fn buffered(ctx: &StarCtx<'_>, curve: &Curve, scratch: &mut Scratch) -> Curve {
+    let pending = &mut scratch.pending;
     curve.with_buffer_options(
         &ctx.tech.library,
         ctx.lib_sel,
         ctx.enforce_max_load,
         ctx.policy,
-        |buf, child| arena.push(Step::Buffer { buf, child }),
+        &mut scratch.curves,
+        |buf, child| pending.push(Step::Buffer { buf, child }),
     )
 }
 
 /// Every point of each source curve `curves[q]`, `q` in `sources`, driven
 /// over a wire from candidate `to` (sources that are `to` itself or empty
-/// are skipped), as one pruned curve. Its points carry indices into
-/// `pending`, where each gets its `Step::Extend`. `champs` skips
-/// candidates that an already-kept one dominates, adding them to
-/// `skipped`.
+/// are skipped), as one pruned curve. Its points carry pending ids, each
+/// for its `Step::Extend` in the open site. `champs` skips candidates that
+/// an already-kept one dominates, adding them to `skipped`.
 ///
 /// A wire shift keeps a pruned curve in prune order: every load grows by
 /// the same wire cap, areas do not change, and points of equal load lose
 /// equal req. So each source is one sorted run, and the runs are merged
 /// ([`Curve::from_sorted_runs`]) instead of sorted. (The shift does not
 /// keep the run pruned: a heavier point loses more req.)
-pub(crate) fn shifted_sources(
+fn shifted_sources(
     ctx: &StarCtx<'_>,
     curves: &[Curve],
     sources: impl IntoIterator<Item = usize>,
     to: usize,
     mut champs: Champions,
-    pending: &mut Vec<Step>,
+    scratch: &mut Scratch,
     skipped: &mut u64,
 ) -> Curve {
-    let p = ctx.cands[to];
+    let k = ctx.cands.len();
     let to16 = u16::try_from(to).expect("candidate indices fit u16");
-    let mut raw: Vec<CurvePoint> = Vec::new();
-    let mut ends: Vec<usize> = Vec::new();
+    let Scratch {
+        curves: curve_scratch,
+        raw,
+        ends,
+        pending,
+    } = scratch;
+    raw.clear();
+    ends.clear();
     for qi in sources {
         let src = &curves[qi];
         if qi == to || src.is_empty() {
             continue;
         }
-        let len = manhattan(p, ctx.cands[qi]);
-        let wc = ctx.tech.wire.wire_cap(len);
+        let hop = &ctx.hops[to * k + qi];
         for a in src.iter() {
-            let cand = CurvePoint {
-                load: a.load + wc,
-                req: a.req - ctx.tech.wire.elmore_ps(len, a.load),
+            let mut cand = CurvePoint {
+                load: a.load + hop.cap,
+                req: a.req - hop.delay_ps(a.load),
                 area: a.area,
-                prov: ProvId::from_index(pending.len()),
+                prov: ProvId::new(0), // pending id below, once kept
             };
             if champs.dominates(&cand) {
                 *skipped += 1;
                 continue;
             }
             champs.keep(&cand);
-            pending.push(Step::Extend {
+            cand.prov = pending.push(Step::Extend {
                 to: to16,
                 child: a.prov,
             });
@@ -483,7 +637,7 @@ pub(crate) fn shifted_sources(
         }
         ends.push(raw.len());
     }
-    Curve::from_sorted_runs(&raw, &ends)
+    Curve::from_sorted_runs(raw.points(), ends, curve_scratch)
 }
 
 #[cfg(test)]
@@ -515,6 +669,7 @@ mod tests {
         let cands = vec![Point::new(0, 0), Point::new(1000, 0), Point::new(0, 1000)];
         let sinks = views();
         let lib_sel: Vec<u16> = (0..tech.library.len() as u16).collect();
+        let hops = hop_table(&tech.wire, &cands);
         let ctx = StarCtx {
             tech: &tech,
             cands: &cands,
@@ -525,11 +680,19 @@ mod tests {
             neighbors: &[],
             enforce_max_load: false,
             policy: PrunePolicy::EXACT,
+            hops: &hops,
         };
         let gamma = Gamma::new();
         let mut cache = StarCache::new();
         let mut arena = ProvArena::new();
-        let fam = range_curves(&ctx, children, &gamma, &mut cache, &mut arena);
+        let fam = range_curves(
+            &ctx,
+            children,
+            &gamma,
+            &mut cache,
+            &mut arena,
+            &mut Scratch::default(),
+        );
         (fam, cache, arena)
     }
 
@@ -568,6 +731,7 @@ mod tests {
         let cands = vec![Point::new(0, 0), Point::new(1000, 0), Point::new(0, 1000)];
         let sinks = views();
         let lib_sel: Vec<u16> = vec![0];
+        let hops = hop_table(&tech.wire, &cands);
         let ctx = StarCtx {
             tech: &tech,
             cands: &cands,
@@ -578,14 +742,16 @@ mod tests {
             neighbors: &[],
             enforce_max_load: false,
             policy: PrunePolicy::EXACT,
+            hops: &hops,
         };
         let gamma = Gamma::new();
         let mut cache = StarCache::new();
         let mut arena = ProvArena::new();
+        let mut scratch = Scratch::default();
         let seq = [Child::Sink(0), Child::Sink(1)];
-        let a = range_curves(&ctx, &seq, &gamma, &mut cache, &mut arena);
+        let a = range_curves(&ctx, &seq, &gamma, &mut cache, &mut arena, &mut scratch);
         let before = cache.stats();
-        let b = range_curves(&ctx, &seq, &gamma, &mut cache, &mut arena);
+        let b = range_curves(&ctx, &seq, &gamma, &mut cache, &mut arena, &mut scratch);
         let after = cache.stats();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(after.0, before.0 + 1, "second call must be a hit");

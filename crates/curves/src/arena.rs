@@ -16,15 +16,15 @@ impl ProvId {
         ProvId(idx)
     }
 
-    /// Creates a handle from a `usize` position: an engine's pending-step
-    /// index or an offset into a [`ProvArena`].
+    /// Creates a handle from a `usize` position: an arena offset, or a
+    /// pending id an engine numbers from [`ProvArena::next_index`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` exceeds `u32::MAX`.
     #[inline]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "pending-step lists stay far below 2^32, and ProvArena::push checks every arena id"
-    )]
     pub fn from_index(idx: usize) -> Self {
-        ProvId(idx as u32)
+        ProvId(u32::try_from(idx).expect("provenance handles fit u32"))
     }
 
     /// The raw index.
@@ -40,16 +40,20 @@ impl fmt::Display for ProvId {
 }
 
 /// A construction step whose referenced provenance handles can be
-/// enumerated, enabling structural validation of a [`ProvArena`].
+/// enumerated and rewritten.
 ///
 /// Engines implement this for their step enums so the arena can check the
 /// two invariants every extraction relies on: every referenced handle is
 /// in bounds, and handles only point *backwards* (the arena is append-only,
 /// so a well-formed DP can never store a forward reference — that ordering
-/// is also what makes the step graph acyclic).
-pub trait ProvStep {
-    /// Appends every [`ProvId`] this step references to `out`.
-    fn push_children(&self, out: &mut Vec<ProvId>);
+/// is also what makes the step graph acyclic). Rewriting lets
+/// [`crate::Curve::finalize`] re-home pending steps that reference other
+/// pending steps, and a parallel DP rebase a segment's steps.
+pub trait ProvStep: Copy {
+    /// This step with every [`ProvId`] it references replaced by `f` of it,
+    /// in a fixed order.
+    #[must_use]
+    fn map_children(self, f: impl FnMut(ProvId) -> ProvId) -> Self;
 }
 
 /// Structural defect found by [`ProvArena::validate`].
@@ -156,6 +160,13 @@ impl<S> ProvArena<S> {
         self.base as usize
     }
 
+    /// The handle the next pushed step will get. Pending ids (see
+    /// [`crate::Curve::finalize`]) start here, so they sort above every
+    /// handle the arena has issued.
+    pub fn next_index(&self) -> usize {
+        self.base as usize + self.steps.len()
+    }
+
     /// Consumes a segment arena, yielding its locally stored steps (the
     /// first returned step corresponds to handle [`ProvArena::base`]).
     pub fn into_steps(self) -> Vec<S> {
@@ -205,21 +216,24 @@ impl<S: ProvStep> ProvArena<S> {
     /// number of references).
     pub fn validate(&self) -> Result<(), ProvArenaError> {
         let base = self.base as usize;
-        let mut children = Vec::new();
-        for (i, step) in self.steps.iter().enumerate() {
-            children.clear();
-            step.push_children(&mut children);
-            for &child in &children {
+        for (i, &step) in self.steps.iter().enumerate() {
+            let mut defect = None;
+            let _ = step.map_children(|child| {
                 // Handles below `base` point at pre-existing global steps
                 // (segment arenas only; `base` is 0 for ordinary arenas):
                 // they are backward by construction and their bounds belong
                 // to the global arena this segment will merge into.
-                if child.index() >= base + self.steps.len() {
-                    return Err(ProvArenaError::OutOfBounds { step: i, child });
+                if defect.is_none() {
+                    if child.index() >= base + self.steps.len() {
+                        defect = Some(ProvArenaError::OutOfBounds { step: i, child });
+                    } else if child.index() >= base + i {
+                        defect = Some(ProvArenaError::ForwardReference { step: i, child });
+                    }
                 }
-                if child.index() >= base + i {
-                    return Err(ProvArenaError::ForwardReference { step: i, child });
-                }
+                child
+            });
+            if let Some(e) = defect {
+                return Err(e);
             }
         }
         Ok(())
@@ -268,16 +282,17 @@ mod tests {
         assert!(a.is_empty());
     }
 
+    #[derive(Clone, Copy)]
     enum TestStep {
         Leaf,
         Join(ProvId, ProvId),
     }
 
     impl ProvStep for TestStep {
-        fn push_children(&self, out: &mut Vec<ProvId>) {
-            if let TestStep::Join(l, r) = self {
-                out.push(*l);
-                out.push(*r);
+        fn map_children(self, mut f: impl FnMut(ProvId) -> ProvId) -> Self {
+            match self {
+                TestStep::Leaf => TestStep::Leaf,
+                TestStep::Join(l, r) => TestStep::Join(f(l), f(r)),
             }
         }
     }

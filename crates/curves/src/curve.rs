@@ -1,12 +1,11 @@
 //! Non-inferior solution curves and the DP operators over them.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use merlin_tech::units::{ps_cmp, Cap, PsTime};
 use merlin_tech::{BufferLibrary, WireModel};
 
-use crate::arena::{ProvArena, ProvId};
+use crate::arena::{ProvArena, ProvId, ProvStep};
 use crate::point::CurvePoint;
 
 /// The value part of the prune order: `(load, area, −req)`.
@@ -68,11 +67,7 @@ fn merge2(
 /// can dominate an earlier one.
 #[inline(always)]
 fn admit(stair: &mut Stair<()>, p: &CurvePoint) -> bool {
-    if stair.floor(p.area).is_some_and(|(_, r, ())| r >= p.req) {
-        return false;
-    }
-    stair.accept(p.area, p.req, ());
-    true
+    stair.admit(p.area, p.req, ()).is_none()
 }
 
 /// Publishes one Definition-6 sweep to the trace: `input` points entered
@@ -87,27 +82,89 @@ fn note_sweep(input: usize, kept: usize) {
 }
 
 /// Merges `a` and `b` (each sorted under `cmp`; ties take `a` first)
-/// through one Definition-6 sweep. `keep(point, from_b)` sees each
-/// survivor in order and returns the point to store.
+/// through one Definition-6 sweep into `out`. `keep(point, from_b)` sees
+/// each survivor in order and returns the point to store.
 fn merge_sweep(
     a: &[CurvePoint],
     b: &[CurvePoint],
     cmp: impl Fn(&CurvePoint, &CurvePoint) -> Ordering,
+    stair: &mut Stair<()>,
+    out: &mut Vec<CurvePoint>,
     mut keep: impl FnMut(CurvePoint, bool) -> CurvePoint,
-) -> Vec<CurvePoint> {
+) {
+    out.clear();
     if crate::fault::trip("curves.prune") {
-        return Vec::new();
+        return;
     }
-    let input = a.len() + b.len();
-    let mut stair: Stair<()> = Stair::new();
-    let mut out = Vec::with_capacity(input);
+    stair.clear();
     merge2(a, b, cmp, |p, from_b| {
-        if admit(&mut stair, &p) {
+        if admit(stair, &p) {
             out.push(keep(p, from_b));
         }
     });
-    note_sweep(input, out.len());
-    out
+    note_sweep(a.len() + b.len(), out.len());
+}
+
+/// [`Curve::from_sorted_runs`] into `out`, with `runs` as its merge
+/// buffers.
+fn merge_runs(
+    pts: &[CurvePoint],
+    ends: &[usize],
+    runs: &mut RunMerge,
+    stair: &mut Stair<()>,
+    out: &mut Vec<CurvePoint>,
+) {
+    // Coalesced run ends: a boundary stays only where the order breaks.
+    runs.ends.clear();
+    let mut start = 0;
+    for &end in ends {
+        if end > start {
+            debug_assert!(
+                in_prune_order(&pts[start..end]),
+                "from_sorted_runs: run {start}..{end} is not in prune order"
+            );
+            match runs.ends.last_mut() {
+                Some(last) if cmp_total(&pts[start - 1], &pts[start]) != Ordering::Greater => {
+                    *last = end;
+                }
+                _ => runs.ends.push(end),
+            }
+        }
+        start = end;
+    }
+    let total = runs.ends.last().copied().unwrap_or(0);
+    // The first round reads `pts`; later rounds read the previous round's
+    // output in `runs.merged`.
+    let mut merged = false;
+    while runs.ends.len() > 2 {
+        let cur = if merged {
+            &runs.merged[..]
+        } else {
+            &pts[..total]
+        };
+        runs.next.clear();
+        runs.next_ends.clear();
+        let mut start = 0;
+        for pair in runs.ends.chunks(2) {
+            let mid = pair[0];
+            let end = pair.last().copied().unwrap_or(mid);
+            merge2(&cur[start..mid], &cur[mid..end], cmp_total, |p, _| {
+                runs.next.push(p);
+            });
+            runs.next_ends.push(end);
+            start = end;
+        }
+        std::mem::swap(&mut runs.merged, &mut runs.next);
+        std::mem::swap(&mut runs.ends, &mut runs.next_ends);
+        merged = true;
+    }
+    let cur = if merged {
+        &runs.merged[..]
+    } else {
+        &pts[..total]
+    };
+    let mid = runs.ends.first().copied().unwrap_or(0);
+    merge_sweep(&cur[..mid], &cur[mid..], cmp_total, stair, out, |p, _| p);
 }
 
 /// The indexed (area → best req) staircase behind the Definition-6 sweep.
@@ -119,33 +176,31 @@ fn merge_sweep(
 /// `BTreeMap` removes the per-point stale-key allocation and all node
 /// traffic; the corner count is bounded by the survivor count, so the
 /// splice memmoves stay within a few cache lines.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Stair<V> {
     corners: Vec<(u64, f64, V)>,
 }
 
 impl<V: Copy> Stair<V> {
-    fn new() -> Self {
-        Stair {
-            corners: Vec::new(),
-        }
+    fn clear(&mut self) {
+        self.corners.clear();
     }
 
-    /// The corner with the largest area `<= area`, if any. By the sweep
-    /// order its req is the best among accepted points whose area (and
-    /// load) are at or below the probe's.
+    /// Offers a point. If the corner with the largest area `<= area`
+    /// already reaches `req`, the point is inferior (by the sweep order
+    /// that corner's load and area are at or below the probe's) and the
+    /// corner's payload is returned. Otherwise the point is recorded,
+    /// retiring the corners it strictly improves on (area `>= area` with
+    /// req `<= req` — one contiguous run, by the invariant). One binary
+    /// search finds both the floor corner and the insert position.
     #[inline]
-    fn floor(&self, area: u64) -> Option<(u64, f64, V)> {
+    fn admit(&mut self, area: u64, req: f64, v: V) -> Option<V> {
         let i = self.corners.partition_point(|c| c.0 <= area);
-        i.checked_sub(1).map(|i| self.corners[i])
-    }
-
-    /// Records an accepted point, retiring the corners it strictly
-    /// improves on (area `>= area` with req `<= req` — one contiguous run,
-    /// by the invariant).
-    #[inline]
-    fn accept(&mut self, area: u64, req: f64, v: V) {
-        let lo = self.corners.partition_point(|c| c.0 < area);
+        let lo = match i.checked_sub(1).map(|f| self.corners[f]) {
+            Some((_, r, by)) if r >= req => return Some(by),
+            Some((a, ..)) if a == area => i - 1,
+            _ => i,
+        };
         let mut hi = lo;
         while hi < self.corners.len() && self.corners[hi].1 <= req {
             hi += 1;
@@ -158,7 +213,102 @@ impl<V: Copy> Stair<V> {
                 self.corners.drain(lo + 1..hi);
             }
         }
+        None
     }
+}
+
+/// [`Curve::reduce`] over `pts`, which must be in prune order, with
+/// `stair` as the sweep's staircase.
+fn reduce_pts(pts: &mut Vec<CurvePoint>, policy: PrunePolicy, stair: &mut Stair<()>) {
+    if policy.is_exact() || pts.len() <= 1 {
+        return;
+    }
+    let q = policy.load_quant.max(1);
+    let rmin = policy.rmin_ps_per_cap.max(0.0);
+    let adj = |p: &CurvePoint| p.req - rmin * f64::from(p.load.units());
+    let before = pts.len();
+    pts.sort_unstable_by(|a, b| {
+        (a.load.units() / q)
+            .cmp(&(b.load.units() / q))
+            .then_with(|| a.area.cmp(&b.area))
+            .then_with(|| ps_cmp(adj(b), adj(a)))
+            .then_with(|| a.prov.index().cmp(&b.prov.index()))
+    });
+    stair.clear();
+    let mut w = 0usize;
+    for i in 0..pts.len() {
+        let p = pts[i];
+        if stair.admit(p.area, adj(&p), ()).is_none() {
+            pts[w] = p;
+            w += 1;
+        }
+    }
+    pts.truncate(w);
+    pts.sort_unstable_by(cmp_total);
+    if merlin_trace::is_enabled() {
+        merlin_trace::counter(
+            "curves.prune.predictive.reduced",
+            (before - pts.len()) as u64,
+        );
+    }
+}
+
+/// The arena handle of `id` for [`Curve::finalize`]: `id` itself below
+/// `first`, else the handle of the step pushed for `pending[id − first]`,
+/// pushed after the pending steps it references.
+fn home<S: ProvStep>(
+    id: ProvId,
+    first: usize,
+    pending: &[S],
+    arena: &mut ProvArena<S>,
+    homed: &mut [Option<ProvId>],
+) -> ProvId {
+    let Some(i) = id.index().checked_sub(first) else {
+        return id;
+    };
+    if let Some(h) = homed[i] {
+        return h;
+    }
+    let step = pending[i].map_children(|c| home(c, first, pending, arena, homed));
+    let h = arena.push(step);
+    homed[i] = Some(h);
+    h
+}
+
+/// `from_sorted_runs`' run ends and merge buffers: the current round's and
+/// the next round's.
+#[derive(Debug, Default)]
+struct RunMerge {
+    ends: Vec<usize>,
+    next_ends: Vec<usize>,
+    merged: Vec<CurvePoint>,
+    next: Vec<CurvePoint>,
+}
+
+/// Buffers that the curve operators of a DP's inner loop reuse from call
+/// to call, so that an operator allocates only the curve it returns.
+///
+/// An engine owns one per run (or per worker thread) and passes it to
+/// [`Curve::prune_with`], [`Curve::reduce`], [`Curve::absorb`],
+/// [`Curve::from_sorted_runs`], [`Curve::with_buffer_options`] and
+/// [`Curve::finalize`]. The contents carry nothing from one call to the
+/// next; a fresh `CurveScratch::default()` allocates nothing.
+#[derive(Debug, Default)]
+pub struct CurveScratch {
+    /// The Definition-6 staircase of every sweep.
+    stair: Stair<()>,
+    /// `from_sorted_runs`' merge rounds.
+    runs: RunMerge,
+    /// A sweep's survivors, before they are copied into the curve that
+    /// keeps them.
+    swept: Vec<CurvePoint>,
+    /// `with_buffer_options`: storage positions by area, then the
+    /// per-buffer staircases and their ends.
+    by_area: Vec<u32>,
+    options: Vec<CurvePoint>,
+    option_ends: Vec<usize>,
+    /// `finalize`: the arena handle already given to each pending step.
+    homed: Vec<Option<ProvId>>,
 }
 
 /// Post-prune speed/quality dial (see [`Curve::reduce`]): load
@@ -292,6 +442,18 @@ impl Curve {
         self.pts.push(p);
     }
 
+    /// Removes every point, keeping the allocation: a curve kept as a
+    /// reusable buffer of raw points.
+    pub fn clear(&mut self) {
+        self.pts.clear();
+    }
+
+    /// Frees the room the operators left beyond the points: for a curve
+    /// that is kept for a long time.
+    pub fn shrink_to_fit(&mut self) {
+        self.pts.shrink_to_fit();
+    }
+
     /// Number of points.
     pub fn len(&self) -> usize {
         self.pts.len()
@@ -323,15 +485,21 @@ impl Curve {
     }
 
     /// Removes every inferior point (Definition 6), keeping one
+    /// representative of identical points, and sorts by increasing load:
+    /// [`Curve::prune_with`] on a fresh scratch.
+    pub fn prune(&mut self) {
+        self.prune_with(&mut CurveScratch::default());
+    }
+
+    /// Removes every inferior point (Definition 6), keeping one
     /// representative of identical points, and sorts by increasing load.
     ///
     /// Runs in `O(s log s)`: points are sorted by the total order
     /// `(load, area, −req, prov)` and swept once through the indexed
     /// [`Stair`], exactly the "pruning operation" of lines 19–20 of the
-    /// paper's Figure 9. Survivors are compacted in place — no output
-    /// vector, no per-point allocations. Lemma 9: no non-inferior solution
-    /// is lost.
-    pub fn prune(&mut self) {
+    /// paper's Figure 9. Survivors are compacted in place, and the
+    /// staircase is `scratch`'s. Lemma 9: no non-inferior solution is lost.
+    pub fn prune_with(&mut self, scratch: &mut CurveScratch) {
         if crate::fault::trip("curves.prune") {
             self.pts.clear();
             return;
@@ -341,11 +509,12 @@ impl Curve {
             return;
         }
         self.pts.sort_unstable_by(cmp_total);
-        let mut stair: Stair<()> = Stair::new();
+        let stair = &mut scratch.stair;
+        stair.clear();
         let mut w = 0usize;
         for i in 0..input {
             let p = self.pts[i];
-            if admit(&mut stair, &p) {
+            if admit(stair, &p) {
                 self.pts[w] = p;
                 w += 1;
             }
@@ -362,47 +531,16 @@ impl Curve {
     /// the earlier run), and the last merge feeds one Definition-6 sweep.
     /// The result equals pushing all of `pts` and calling
     /// [`Curve::prune`], for `O(n log k)` instead of `O(n log n)`.
-    pub fn from_sorted_runs(pts: &[CurvePoint], ends: &[usize]) -> Curve {
-        // Coalesced run ends: a boundary stays only where the order breaks.
-        let mut runs: Vec<usize> = Vec::with_capacity(ends.len());
-        let mut start = 0;
-        for &end in ends {
-            if end > start {
-                debug_assert!(
-                    in_prune_order(&pts[start..end]),
-                    "from_sorted_runs: run {start}..{end} is not in prune order"
-                );
-                match runs.last_mut() {
-                    Some(last) if cmp_total(&pts[start - 1], &pts[start]) != Ordering::Greater => {
-                        *last = end;
-                    }
-                    _ => runs.push(end),
-                }
-            }
-            start = end;
-        }
-        let total = runs.last().copied().unwrap_or(0);
-        let mut cur = Cow::Borrowed(&pts[..total]);
-        while runs.len() > 2 {
-            let mut next = Vec::with_capacity(total);
-            let mut merged = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut start = 0;
-            for pair in runs.chunks(2) {
-                let mid = pair[0];
-                let end = pair.last().copied().unwrap_or(mid);
-                merge2(&cur[start..mid], &cur[mid..end], cmp_total, |p, _| {
-                    next.push(p);
-                });
-                merged.push(end);
-                start = end;
-            }
-            cur = Cow::Owned(next);
-            runs = merged;
-        }
-        let mid = runs.first().copied().unwrap_or(0);
-        Curve {
-            pts: merge_sweep(&cur[..mid], &cur[mid..], cmp_total, |p, _| p),
-        }
+    pub fn from_sorted_runs(
+        pts: &[CurvePoint],
+        ends: &[usize],
+        scratch: &mut CurveScratch,
+    ) -> Curve {
+        let CurveScratch {
+            stair, runs, swept, ..
+        } = scratch;
+        merge_runs(pts, ends, runs, stair, swept);
+        Curve { pts: swept.clone() }
     }
 
     /// Applies a [`PrunePolicy`] to an already-pruned curve: re-runs the
@@ -413,42 +551,11 @@ impl Curve {
     /// speed/quality dial in the same family as [`Curve::thin_to`],
     /// threaded per resilience-ladder tier through `MerlinConfig`. The
     /// [`PrunePolicy::EXACT`] default is a no-op.
-    pub fn reduce(&mut self, policy: PrunePolicy) {
-        if policy.is_exact() || self.pts.len() <= 1 {
-            return;
+    pub fn reduce(&mut self, policy: PrunePolicy, scratch: &mut CurveScratch) {
+        if !policy.is_exact() {
+            reduce_pts(&mut self.pts, policy, &mut scratch.stair);
+            self.debug_check_noninferior("reduce");
         }
-        let q = policy.load_quant.max(1);
-        let rmin = policy.rmin_ps_per_cap.max(0.0);
-        let adj = |p: &CurvePoint| p.req - rmin * f64::from(p.load.units());
-        let before = self.pts.len();
-        self.pts.sort_unstable_by(|a, b| {
-            (a.load.units() / q)
-                .cmp(&(b.load.units() / q))
-                .then_with(|| a.area.cmp(&b.area))
-                .then_with(|| ps_cmp(adj(b), adj(a)))
-                .then_with(|| a.prov.index().cmp(&b.prov.index()))
-        });
-        let mut stair: Stair<()> = Stair::new();
-        let mut w = 0usize;
-        for i in 0..self.pts.len() {
-            let p = self.pts[i];
-            let r = adj(&p);
-            if stair.floor(p.area).is_some_and(|(_, fr, ())| fr >= r) {
-                continue;
-            }
-            stair.accept(p.area, r, ());
-            self.pts[w] = p;
-            w += 1;
-        }
-        self.pts.truncate(w);
-        self.pts.sort_unstable_by(cmp_total);
-        if merlin_trace::is_enabled() {
-            merlin_trace::counter(
-                "curves.prune.predictive.reduced",
-                (before - self.pts.len()) as u64,
-            );
-        }
-        self.debug_check_noninferior("reduce");
     }
 
     /// Verifies the post-[`Curve::prune`] contract: no NaN required time,
@@ -467,7 +574,7 @@ impl Curve {
         // (area, req, index) staircase of already-seen points: the floor
         // corner at A holds the best req among seen points with area <= A
         // (and load <= current, by sweep order).
-        let mut stair: Stair<usize> = Stair::new();
+        let mut stair: Stair<usize> = Stair::default();
         for (i, p) in self.pts.iter().enumerate() {
             if p.req.is_nan() {
                 return Err(CurveInvariantError::NanReq { index: i });
@@ -478,12 +585,9 @@ impl Curve {
                     return Err(CurveInvariantError::NotSorted { index: i });
                 }
             }
-            if let Some((_, r, by)) = stair.floor(p.area) {
-                if r >= p.req {
-                    return Err(CurveInvariantError::Dominated { index: i, by });
-                }
+            if let Some(by) = stair.admit(p.area, p.req, i) {
+                return Err(CurveInvariantError::Dominated { index: i, by });
             }
-            stair.accept(p.area, p.req, i);
         }
         Ok(())
     }
@@ -548,23 +652,46 @@ impl Curve {
 
     /// Prepends a wire of `len` λ to every solution: load grows by the wire
     /// capacitance, required time shrinks by the Elmore delay of the wire
-    /// into the old load. The result is pruned (extension is monotone, so
-    /// pruning only collapses load-quantization ties).
+    /// into the old load. The curve must be in prune order.
+    ///
+    /// A wire adds the same capacitance to every load and leaves areas
+    /// alone, so the shifted points stay in strictly increasing
+    /// `(load, area)` order: one Definition-6 sweep prunes them, without a
+    /// sort (the heavier point loses more req, so points can die). `step`
+    /// is called, in storage order, only for the points that survive.
     pub fn extended<F>(&self, wire: &WireModel, len: u64, mut step: F) -> Curve
     where
         F: FnMut(ProvId) -> ProvId,
     {
+        debug_assert!(
+            in_prune_order(&self.pts),
+            "extended needs a curve in prune order"
+        );
+        if crate::fault::trip("curves.prune") {
+            return Curve::new();
+        }
         let wc = wire.wire_cap(len);
+        let mut stair: Stair<()> = Stair::default();
         let mut out = Curve::with_capacity(self.len());
         for p in &self.pts {
-            out.push(CurvePoint {
+            let shifted = CurvePoint {
                 load: p.load + wc,
                 req: p.req - wire.elmore_ps(len, p.load),
                 area: p.area,
-                prov: step(p.prov),
-            });
+                prov: p.prov,
+            };
+            if admit(&mut stair, &shifted) {
+                // audit:allow(push-without-prune): `admit` above is the Definition-6 sweep.
+                out.pts.push(CurvePoint {
+                    prov: step(p.prov),
+                    ..shifted
+                });
+            }
         }
-        out.prune();
+        // Counted like `prune`, which skips a sweep of one point.
+        if self.len() > 1 {
+            note_sweep(self.len(), out.len());
+        }
         out.debug_check_noninferior("extended");
         out
     }
@@ -574,9 +701,9 @@ impl Curve {
     /// solution with that buffer (load collapses to the buffer input
     /// capacitance, required time shrinks by the buffer delay into the old
     /// load, area grows by the buffer area). The unbuffered originals are
-    /// kept, and `policy` is applied to the options and again to the
-    /// union. With `enforce_max_load`, a buffer is not offered above its
-    /// `max_load`. The curve must be in prune order.
+    /// kept, and `policy` is applied to the union. With
+    /// `enforce_max_load`, a buffer is not offered above its `max_load`.
+    /// The curve must be in prune order.
     ///
     /// Li & Shi form: every option of one buffer drives the same load, so
     /// the options of buffer `k` that survive among themselves are exactly
@@ -589,16 +716,26 @@ impl Curve {
     ///
     /// `step(buffer index, child provenance)` is called only for options
     /// that survive the union, in prune order, and returns the option's
-    /// provenance. Exact ties keep the same winners as pruning the
-    /// originals plus all `s × b` raw options generated buffer-major in
-    /// `select` order: the original first, then the earlier buffer, then
-    /// the earlier point in storage order.
+    /// provenance: a DP hands out pending ids here and calls
+    /// [`Curve::finalize`] once it knows which points it keeps. Exact ties
+    /// keep the same winners as pruning the originals plus all `s × b` raw
+    /// options generated buffer-major in `select` order: the original
+    /// first, then the earlier buffer, then the earlier point in storage
+    /// order.
+    ///
+    /// `policy` is applied once, to the union. Applying it to the options
+    /// first as well would change nothing: exact domination implies the
+    /// policy's bucketed domination, so an option that the policy drops
+    /// among the options is dropped from the union by the same point or by
+    /// the original that beat it (`prune_props` checks this over random
+    /// policies).
     pub fn with_buffer_options<F>(
         &self,
         library: &BufferLibrary,
         select: &[u16],
         enforce_max_load: bool,
         policy: PrunePolicy,
+        scratch: &mut CurveScratch,
         mut step: F,
     ) -> Curve
     where
@@ -611,22 +748,32 @@ impl Curve {
         if self.is_empty() {
             return Curve::new();
         }
+        let CurveScratch {
+            stair,
+            runs,
+            swept,
+            by_area,
+            options,
+            option_ends,
+            ..
+        } = scratch;
         let s = self.pts.len();
         let s32 = u32::try_from(s).expect("curve size fits a provenance index");
         // Storage positions by (area, position): per buffer, option area
         // grows with the original's area, and equal areas keep the earlier
         // point first.
-        let mut by_area: Vec<u32> = (0..s32).collect();
+        by_area.clear();
+        by_area.extend(0..s32);
         by_area.sort_unstable_by_key(|&i| (self.pts[i as usize].area, i));
         // Options carry `k·s + position` as provenance until they survive:
         // unique, and ordered like buffer-major generation.
-        let mut options: Vec<CurvePoint> = Vec::with_capacity(s * select.len());
-        let mut ends: Vec<usize> = Vec::with_capacity(select.len());
+        options.clear();
+        option_ends.clear();
         let mut base = 0u32;
         for &bi in select {
             let buf = &library[usize::from(bi)];
             let start = options.len();
-            for &i in &by_area {
+            for &i in by_area.iter() {
                 let p = &self.pts[i as usize];
                 if enforce_max_load && p.load > buf.max_load {
                     continue;
@@ -650,22 +797,31 @@ impl Curve {
                     _ => options.push(cand),
                 }
             }
-            ends.push(options.len());
+            option_ends.push(options.len());
             base += s32;
         }
-        let mut options = Curve::from_sorted_runs(&options, &ends);
-        options.reduce(policy);
-        // The union: on an exact tie the original (the older solution)
-        // wins, so only options that survive here get a provenance step.
-        let pts = merge_sweep(&self.pts, &options.pts, cmp_key, |mut p, option| {
-            if option {
-                let id = p.prov.index();
-                p.prov = step(select[id / s], self.pts[id % s].prov);
-            }
-            p
-        });
-        let mut out = Curve { pts };
-        out.reduce(policy);
+        merge_runs(options, option_ends, runs, stair, swept);
+        // The union, swept into the (now free) options buffer: on an exact
+        // tie the original (the older solution) wins, so only options that
+        // survive here get a provenance.
+        merge_sweep(
+            &self.pts,
+            swept,
+            cmp_key,
+            stair,
+            options,
+            |mut p, option| {
+                if option {
+                    let id = p.prov.index();
+                    p.prov = step(select[id / s], self.pts[id % s].prov);
+                }
+                p
+            },
+        );
+        reduce_pts(options, policy, stair);
+        let out = Curve {
+            pts: options.clone(),
+        };
         out.debug_check_noninferior("with_buffer_options");
         out
     }
@@ -676,7 +832,7 @@ impl Curve {
     /// output so), which makes this one linear merge plus one
     /// Definition-6 sweep instead of a sort; the result equals pruning the
     /// concatenation.
-    pub fn absorb(&mut self, other: &Curve) {
+    pub fn absorb(&mut self, other: &Curve, scratch: &mut CurveScratch) {
         if other.is_empty() {
             return;
         }
@@ -688,18 +844,37 @@ impl Curve {
             in_prune_order(&self.pts) && in_prune_order(&other.pts),
             "absorb needs both curves in prune order"
         );
-        self.pts = merge_sweep(&self.pts, &other.pts, cmp_total, |p, _| p);
+        let CurveScratch { stair, swept, .. } = scratch;
+        merge_sweep(&self.pts, &other.pts, cmp_total, stair, swept, |p, _| p);
+        self.pts.clone_from(swept);
         self.debug_check_noninferior("absorb");
     }
 
-    /// Re-homes pending provenance: each point's `prov` indexes `pending`,
-    /// and becomes the handle of a fresh `arena` step holding that entry.
-    /// Steps are pushed in storage order, so only the points that reached
-    /// this call allocate steps, and the curve's order and values do not
-    /// change.
-    pub fn finalize<S: Copy>(&mut self, pending: &[S], arena: &mut ProvArena<S>) {
+    /// Re-homes pending provenance. A point whose `prov` is at least
+    /// `first` is pending: its step is `pending[prov − first]`, and the
+    /// point gets the handle of a fresh `arena` step holding it. Steps are
+    /// pushed in storage order, each after the pending steps it references
+    /// (which are re-homed the same way, once each); handles below `first`
+    /// are left alone. So only the points that reached this call, and the
+    /// pending steps they build on, allocate steps, and the curve's order
+    /// and values do not change.
+    ///
+    /// A DP numbers pending steps from the arena's
+    /// [`next_index`](ProvArena::next_index), so pending ids sort above
+    /// every live handle until they are re-homed, and calls this after the
+    /// last thinning its points go through.
+    pub fn finalize<S: ProvStep>(
+        &mut self,
+        first: usize,
+        pending: &[S],
+        arena: &mut ProvArena<S>,
+        scratch: &mut CurveScratch,
+    ) {
+        let homed = &mut scratch.homed;
+        homed.clear();
+        homed.resize(pending.len(), None);
         for p in &mut self.pts {
-            p.prov = arena.push(pending[p.prov.index()]);
+            p.prov = home(p.prov, first, pending, arena, homed);
         }
     }
 
@@ -727,7 +902,8 @@ impl Curve {
     ///
     /// This is a *speed knob*, not part of the paper's algorithm; with it
     /// disabled (the default in the accuracy configurations) all curves are
-    /// exact. The scaling benchmarks quantify its effect.
+    /// exact. What it costs the production engine is measured nowhere yet:
+    /// see ROADMAP.md item 1.
     ///
     /// The curve must be in prune order, which it keeps: the kept points
     /// stay in storage order.
@@ -747,20 +923,19 @@ impl Curve {
             .map(|(i, _)| i)
             .unwrap_or(0);
         let n = self.pts.len();
-        let mut keep = vec![false; n];
-        keep[0] = true;
-        keep[n - 1] = true;
-        keep[best_req_idx] = true;
+        // The evenly spaced indices `k·(n − 1) / remaining` are
+        // non-decreasing in `k` (the first is 0), so one cursor walks them.
         let remaining = max_points.saturating_sub(3).max(1);
-        for k in 0..remaining {
-            let idx = (k * (n - 1)) / remaining;
-            keep[idx] = true;
-        }
+        let spaced = |k: usize| (k * (n - 1)) / remaining;
+        let mut k = 0;
         let mut i = 0;
         self.pts.retain(|_| {
-            let k = keep[i];
+            while k < remaining && spaced(k) < i {
+                k += 1;
+            }
+            let keep = i == n - 1 || i == best_req_idx || (k < remaining && spaced(k) == i);
             i += 1;
-            k
+            keep
         });
     }
 
@@ -931,7 +1106,14 @@ mod tests {
         let mut c = Curve::new();
         c.push(CurvePoint::with_load(Cap::from_ff(500.0), 900.0, 0, pid(0)));
         let select: Vec<u16> = (0..lib.len() as u16).collect();
-        let b = c.with_buffer_options(&lib, &select, false, PrunePolicy::EXACT, |_, p| p);
+        let b = c.with_buffer_options(
+            &lib,
+            &select,
+            false,
+            PrunePolicy::EXACT,
+            &mut CurveScratch::default(),
+            |_, p| p,
+        );
         // The huge unbuffered load means a buffered variant survives (small
         // load) alongside the original (best req, zero area).
         assert!(b.len() >= 2);
@@ -1002,7 +1184,7 @@ mod tests {
         a.push(CurvePoint::new(10, 100.0, 5, pid(0)));
         let mut b = Curve::new();
         b.push(CurvePoint::new(10, 120.0, 5, pid(1)));
-        a.absorb(&b);
+        a.absorb(&b, &mut CurveScratch::default());
         assert_eq!(a.len(), 1);
         assert_eq!(a.points()[0].req, 120.0);
     }
@@ -1040,12 +1222,15 @@ mod tests {
         }
         c.prune();
         let before = c.clone();
-        c.reduce(PrunePolicy::EXACT);
+        c.reduce(PrunePolicy::EXACT, &mut CurveScratch::default());
         assert_eq!(before, c);
-        c.reduce(PrunePolicy {
-            load_quant: 0,
-            rmin_ps_per_cap: -1.0,
-        });
+        c.reduce(
+            PrunePolicy {
+                load_quant: 0,
+                rmin_ps_per_cap: -1.0,
+            },
+            &mut CurveScratch::default(),
+        );
         assert_eq!(before, c, "degenerate dial values mean exact");
     }
 
@@ -1059,10 +1244,13 @@ mod tests {
         c.push(CurvePoint::new(13, 110.0, 5, pid(2)));
         c.prune();
         assert_eq!(c.len(), 3);
-        c.reduce(PrunePolicy {
-            load_quant: 4,
-            rmin_ps_per_cap: 0.0,
-        });
+        c.reduce(
+            PrunePolicy {
+                load_quant: 4,
+                rmin_ps_per_cap: 0.0,
+            },
+            &mut CurveScratch::default(),
+        );
         assert_eq!(c.len(), 2);
         assert!(c.iter().all(|p| p.prov != pid(0)));
         assert!(c.check_invariants().is_ok(), "storage order restored");
@@ -1078,20 +1266,26 @@ mod tests {
         c.prune();
         assert_eq!(c.len(), 2);
         let mut quantized = c.clone();
-        quantized.reduce(PrunePolicy {
-            load_quant: 100,
-            rmin_ps_per_cap: 0.0,
-        });
+        quantized.reduce(
+            PrunePolicy {
+                load_quant: 100,
+                rmin_ps_per_cap: 0.0,
+            },
+            &mut CurveScratch::default(),
+        );
         assert_eq!(quantized.len(), 1, "bucket-mates with equal area collapse");
         assert_eq!(
             quantized.points()[0].prov,
             pid(1),
             "without rmin the raw-req winner is kept"
         );
-        c.reduce(PrunePolicy {
-            load_quant: 100,
-            rmin_ps_per_cap: 1.0,
-        });
+        c.reduce(
+            PrunePolicy {
+                load_quant: 100,
+                rmin_ps_per_cap: 1.0,
+            },
+            &mut CurveScratch::default(),
+        );
         assert_eq!(c.len(), 1);
         assert_eq!(
             c.points()[0].prov,
@@ -1125,10 +1319,13 @@ mod tests {
                 .iter()
                 .map(|p| (p.load.units(), p.area, p.req.to_bits(), p.prov.index()))
                 .collect();
-            c.reduce(PrunePolicy {
-                load_quant: 8,
-                rmin_ps_per_cap: 0.5,
-            });
+            c.reduce(
+                PrunePolicy {
+                    load_quant: 8,
+                    rmin_ps_per_cap: 0.5,
+                },
+                &mut CurveScratch::default(),
+            );
             assert!(!c.is_empty());
             assert!(c.check_invariants().is_ok());
             for p in c.iter() {

@@ -14,7 +14,9 @@
 //!   buffer operators every DP in the workspace is built from,
 //! * [`ProvArena`] — a generic append-only arena for construction steps so
 //!   the winning structure can be rebuilt by following back-pointers
-//!   (lines 21–22 of the paper's Figure 9).
+//!   (lines 21–22 of the paper's Figure 9),
+//! * [`CurveScratch`] — the buffers the operators reuse from call to call
+//!   in a DP's inner loop.
 //!
 //! # Examples
 //!
@@ -36,6 +38,6 @@ pub mod fault;
 pub mod point;
 
 pub use arena::{ProvArena, ProvArenaError, ProvId, ProvStep};
-pub use curve::{Curve, CurveInvariantError, PrunePolicy};
+pub use curve::{Curve, CurveInvariantError, CurveScratch, PrunePolicy};
 pub use fault::FaultKind;
 pub use point::CurvePoint;

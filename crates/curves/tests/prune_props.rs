@@ -9,7 +9,7 @@
 
 use std::cmp::Ordering;
 
-use merlin_curves::{Curve, CurvePoint, ProvId, PrunePolicy};
+use merlin_curves::{Curve, CurvePoint, CurveScratch, ProvArena, ProvId, ProvStep, PrunePolicy};
 use merlin_tech::units::{ps_cmp, Cap};
 use merlin_tech::{Buffer, BufferLibrary, Technology};
 use proptest::prelude::*;
@@ -172,6 +172,22 @@ fn indexed_prune_matches_the_oracle_over_a_twelve_value_domain() {
 /// keep their small input ids.
 const OPTION_BASE: usize = 1 << 20;
 
+/// A buffer option's step: the buffer and the point it drives.
+#[derive(Clone, Copy, Debug)]
+struct OptionStep {
+    buf: u16,
+    child: ProvId,
+}
+
+impl ProvStep for OptionStep {
+    fn map_children(self, mut f: impl FnMut(ProvId) -> ProvId) -> Self {
+        OptionStep {
+            child: f(self.child),
+            ..self
+        }
+    }
+}
+
 /// A point's values, plus its provenance as `(None, prov)` for an original
 /// or `(Some(buffer), child prov)` for a buffer option.
 type Keyed = Vec<(u32, u64, u64, Option<u16>, usize)>;
@@ -223,21 +239,38 @@ impl BufferCase<'_> {
         (raw, steps)
     }
 
-    /// The operator under test; its step ids are handed out in call order,
-    /// like arena handles.
+    /// The operator under test, as the DP runs it: options get pending ids
+    /// numbered from an arena based at `OPTION_BASE`, and `finalize` gives
+    /// arena steps to the options that survive, in storage order.
     fn run(&self, c: &Curve) -> Keyed {
-        let mut made: Vec<(u16, ProvId)> = Vec::new();
-        let out = c.with_buffer_options(
+        let mut scratch = CurveScratch::default();
+        let mut arena: ProvArena<OptionStep> = ProvArena::with_base(OPTION_BASE);
+        let first = arena.next_index();
+        let mut pending = Vec::new();
+        let mut out = c.with_buffer_options(
             self.library,
             self.select,
             self.enforce_max_load,
             self.policy,
-            |bi, child| {
-                made.push((bi, child));
-                ProvId::new((OPTION_BASE + made.len() - 1) as u32)
+            &mut scratch,
+            |buf, child| {
+                pending.push(OptionStep { buf, child });
+                ProvId::from_index(first + pending.len() - 1)
             },
         );
+        out.finalize(first, &pending, &mut arena, &mut scratch);
         assert!(out.check_invariants().is_ok());
+        let options = out.iter().filter(|p| p.prov.index() >= OPTION_BASE).count();
+        assert_eq!(
+            arena.len(),
+            options,
+            "a step for every surviving option, and only those"
+        );
+        let made: Vec<(u16, ProvId)> = arena
+            .into_steps()
+            .into_iter()
+            .map(|o| (o.buf, o.child))
+            .collect();
         keyed(out.points(), &made)
     }
 
@@ -248,7 +281,7 @@ impl BufferCase<'_> {
     fn oracle(&self, c: &Curve) -> Keyed {
         let (raw, steps) = self.raw_options(c);
         let mut options = unpruned(oracle_prune(&unpruned(raw)));
-        options.reduce(self.policy);
+        options.reduce(self.policy, &mut CurveScratch::default());
         let mut made = Vec::new();
         let mut union = c.clone();
         for p in options.iter() {
@@ -259,7 +292,7 @@ impl BufferCase<'_> {
             });
         }
         let mut out = unpruned(oracle_prune(&union));
-        out.reduce(self.policy);
+        out.reduce(self.policy, &mut CurveScratch::default());
         keyed(out.points(), &made)
     }
 
@@ -443,7 +476,7 @@ fn absorb_matches_the_oracle_of_the_concatenation() {
         a.prune();
         b.prune();
         let expect = keys(&oracle_prune(&unpruned(a.iter().chain(b.iter()).copied())));
-        a.absorb(&b);
+        a.absorb(&b, &mut CurveScratch::default());
         assert_eq!(keys(a.points()), expect, "round {round}");
     }
 }
@@ -451,6 +484,9 @@ fn absorb_matches_the_oracle_of_the_concatenation() {
 #[test]
 fn sorted_runs_merge_to_the_oracle_of_the_concatenation() {
     let wire = Technology::synthetic_035().wire;
+    // One scratch for every round: nothing may leak from one call into the
+    // next.
+    let mut scratch = CurveScratch::default();
     let mut next = xorshift(0x2545_f491);
     for round in 0..300 {
         let k = (next() % 9) as usize;
@@ -488,7 +524,7 @@ fn sorted_runs_merge_to_the_oracle_of_the_concatenation() {
             ends.push(pts.len());
         }
         let expect = keys(&oracle_prune(&unpruned(pts.iter().copied())));
-        let merged = Curve::from_sorted_runs(&pts, &ends);
+        let merged = Curve::from_sorted_runs(&pts, &ends, &mut scratch);
         assert_eq!(keys(merged.points()), expect, "round {round} ({k} runs)");
     }
     // Runs that are already in order, end to end, are joined as they
@@ -507,9 +543,49 @@ fn sorted_runs_merge_to_the_oracle_of_the_concatenation() {
     pts.sort_unstable_by(prune_order);
     let ends = [10, 10, 25, 40];
     assert_eq!(
-        keys(Curve::from_sorted_runs(&pts, &ends).points()),
+        keys(Curve::from_sorted_runs(&pts, &ends, &mut scratch).points()),
         keys(&oracle_prune(&unpruned(pts.iter().copied())))
     );
+}
+
+#[test]
+fn extended_matches_the_oracle() {
+    // The oracle shifts every point (its provenance through the same
+    // `step`) and prunes the lot; the operator sweeps the shifted points
+    // once, stepping only the survivors. Values and provenance must agree.
+    let wire = Technology::synthetic_035().wire;
+    let step = |p: ProvId| ProvId::from_index(OPTION_BASE + p.index());
+    let mut next = xorshift(0x3c6e_f372);
+    for round in 0..300 {
+        let n = (next() % 48) as u32;
+        let domain = if round % 2 == 0 { 12 } else { 4000 };
+        let mut c = curve_of(n, |p| {
+            CurvePoint::new(
+                (next() % domain) as u32,
+                (next() % domain) as f64 * 0.5,
+                next() % domain,
+                ProvId::new(p),
+            )
+        });
+        c.prune();
+        let len = match round % 3 {
+            0 => 0,
+            1 => next() % 300,
+            _ => next() % 30_000,
+        };
+        let wc = wire.wire_cap(len);
+        let shifted = unpruned(c.iter().map(|a| CurvePoint {
+            load: a.load + wc,
+            req: a.req - wire.elmore_ps(len, a.load),
+            area: a.area,
+            prov: step(a.prov),
+        }));
+        assert_eq!(
+            keys(c.extended(&wire, len, step).points()),
+            keys(&oracle_prune(&shifted)),
+            "round {round} ({n} points, {len} λ)"
+        );
+    }
 }
 
 fn curve_from(points: &[RawPoint]) -> Curve {
@@ -611,8 +687,14 @@ proptest! {
         c.prune();
         let library = BufferLibrary::tiny_test();
         let select: Vec<u16> = (0..library.len() as u16).collect();
-        let buffered =
-            c.with_buffer_options(&library, &select, false, PrunePolicy::EXACT, |_, p| p);
+        let buffered = c.with_buffer_options(
+            &library,
+            &select,
+            false,
+            PrunePolicy::EXACT,
+            &mut CurveScratch::default(),
+            |_, p| p,
+        );
         prop_assert!(buffered.is_pruned());
         prop_assert!(buffered.check_invariants().is_ok());
         // The unbuffered originals never disappear entirely: the minimum
@@ -672,7 +754,10 @@ proptest! {
         let mut exact = curve_from(&points);
         exact.prune();
         let mut dialed = exact.clone();
-        dialed.reduce(PrunePolicy { load_quant: q, rmin_ps_per_cap: 0.25 });
+        dialed.reduce(
+            PrunePolicy { load_quant: q, rmin_ps_per_cap: 0.25 },
+            &mut CurveScratch::default(),
+        );
         prop_assert!(dialed.check_invariants().is_ok(),
             "reduce must preserve the exact-curve invariants");
         // Survivors are a subsequence of the exact front, in order.
@@ -685,7 +770,7 @@ proptest! {
         }
         // The exact policy is the identity.
         let mut same = exact.clone();
-        same.reduce(PrunePolicy::EXACT);
+        same.reduce(PrunePolicy::EXACT, &mut CurveScratch::default());
         prop_assert_eq!(keys(same.points()), front);
     }
 
@@ -719,12 +804,49 @@ proptest! {
     }
 
     #[test]
+    fn buffer_operator_needs_no_dial_before_the_union(
+        points in raw_points(),
+        pick in prop::collection::vec(0u16..5, 1..7),
+        enforce in 0u8..2,
+        q in 1u32..32,
+        rmin in 0usize..4,
+    ) {
+        // The operator applies a non-exact policy to the union only; the
+        // oracle also applies it to the options before the union, as the
+        // sort-based operator did. Loads on a 10-unit grid, required times
+        // on a half-ps grid and rmin in multiples of 0.05 ps per unit make
+        // bucket and adjusted-req ties common, where provenance decides.
+        let library = tie_library();
+        let mut select: Vec<u16> = Vec::new();
+        for &b in &pick {
+            if !select.contains(&b) {
+                select.push(b);
+            }
+        }
+        let policy = PrunePolicy {
+            load_quant: q,
+            rmin_ps_per_cap: [0.0, 0.05, 0.1, 0.25][rmin],
+        };
+        let case = BufferCase {
+            library: &library,
+            select: &select,
+            enforce_max_load: enforce == 1,
+            policy,
+        };
+        let raw: Vec<RawPoint> = points
+            .iter()
+            .map(|&(l, r, a)| (10 + (l / 40) * 10, (r / 100.0).floor() * 0.5, a % 6))
+            .collect();
+        case.check(&curve_from(&raw), &format!("{policy:?}"));
+    }
+
+    #[test]
     fn absorb_yields_pruned_curve(left in raw_points(), right in raw_points()) {
         let mut a = curve_from(&left);
         let mut b = curve_from(&right);
         a.prune();
         b.prune();
-        a.absorb(&b);
+        a.absorb(&b, &mut CurveScratch::default());
         prop_assert!(a.is_pruned());
         prop_assert!(a.check_invariants().is_ok());
     }

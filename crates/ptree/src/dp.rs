@@ -1,6 +1,6 @@
 //! The PTREE dynamic program.
 
-use merlin_curves::{Curve, CurvePoint, ProvArena, ProvId};
+use merlin_curves::{Curve, CurvePoint, CurveScratch, ProvArena, ProvId};
 use merlin_geom::{manhattan, Point};
 use merlin_netlist::Net;
 use merlin_order::SinkOrder;
@@ -128,6 +128,7 @@ impl<'a> Ptree<'a> {
                     clippy::cast_possible_truncation,
                     reason = "k <= u16::MAX is asserted on entry"
                 )]
+                // audit:allow(push-without-prune): one point is trivially non-inferior.
                 c.push(CurvePoint::with_load(
                     sink.load + wire.wire_cap(len),
                     sink.req_ps - wire.elmore_ps(len, sink.load),
@@ -142,8 +143,14 @@ impl<'a> Ptree<'a> {
             s[win(i, i)] = per_p;
         }
 
-        // Windows by increasing length.
+        // Windows by increasing length. Each site (a root's merges, a
+        // root's relocations) numbers its steps as pending ids from the
+        // arena's next handle and gives arena steps only to the points it
+        // keeps after its last thin (`Curve::finalize`).
+        let mut scratch = CurveScratch::default();
         let mut pending: Vec<RouteStep> = Vec::new();
+        let mut raw = Curve::new();
+        let mut ends: Vec<usize> = Vec::new();
         for len in 2..=n {
             for i in 0..=n - len {
                 let j = i + len - 1;
@@ -153,18 +160,20 @@ impl<'a> Ptree<'a> {
                 // `s`, so a single iterator cannot replace it.
                 #[allow(clippy::needless_range_loop)]
                 for pi in 0..k {
+                    let first = arena.next_index();
                     pending.clear();
-                    let mut raw = Curve::new();
+                    raw.clear();
                     for u in i..j {
                         let left = &s[win(i, u)][pi];
                         let right = &s[win(u + 1, j)][pi];
                         for a in left.iter() {
                             for b in right.iter() {
-                                let prov = ProvId::from_index(pending.len());
+                                let prov = ProvId::from_index(first + pending.len());
                                 pending.push(RouteStep::Merge {
                                     left: a.prov,
                                     right: b.prov,
                                 });
+                                // audit:allow(push-without-prune): `prune_with` below.
                                 raw.push(CurvePoint {
                                     load: a.load + b.load,
                                     req: a.req.min(b.req),
@@ -174,17 +183,21 @@ impl<'a> Ptree<'a> {
                             }
                         }
                     }
-                    raw.prune();
+                    raw.prune_with(&mut scratch);
                     raw.thin_to(self.config.max_curve_points);
-                    raw.finalize(&pending, &mut arena);
-                    sb.push(raw);
+                    let mut merged = raw.clone();
+                    merged.finalize(first, &pending, &mut arena, &mut scratch);
+                    sb.push(merged);
                 }
-                // Phase 2: one-hop relocations.
+                // Phase 2: one-hop relocations. A wire shift keeps each
+                // source curve in prune order (every load and area grows by
+                // the same amount), so the sources merge as sorted runs.
                 let mut sw: Vec<Curve> = Vec::with_capacity(k);
                 for (pi, &p) in candidates.iter().enumerate() {
+                    let first = arena.next_index();
                     pending.clear();
-                    let mut combined = sb[pi].clone();
-                    let mut additions = Curve::new();
+                    raw.clear();
+                    ends.clear();
                     for (qi, &q) in candidates.iter().enumerate() {
                         if qi == pi || sb[qi].is_empty() {
                             continue;
@@ -192,7 +205,7 @@ impl<'a> Ptree<'a> {
                         let len = manhattan(p, q);
                         let wc = wire.wire_cap(len);
                         for a in sb[qi].iter() {
-                            let prov = ProvId::from_index(pending.len());
+                            let prov = ProvId::from_index(first + pending.len());
                             #[expect(
                                 clippy::cast_possible_truncation,
                                 reason = "k <= u16::MAX is asserted on entry"
@@ -201,19 +214,22 @@ impl<'a> Ptree<'a> {
                                 to: pi as u16,
                                 child: a.prov,
                             });
-                            additions.push(CurvePoint {
+                            // audit:allow(push-without-prune): `from_sorted_runs` below prunes the runs.
+                            raw.push(CurvePoint {
                                 load: a.load + wc,
                                 req: a.req - wire.elmore_ps(len, a.load),
                                 area: a.area + len,
                                 prov,
                             });
                         }
+                        ends.push(raw.len());
                     }
-                    additions.prune();
+                    let mut additions = Curve::from_sorted_runs(raw.points(), &ends, &mut scratch);
                     additions.thin_to(self.config.max_curve_points);
-                    additions.finalize(&pending, &mut arena);
-                    combined.absorb(&additions);
+                    let mut combined = sb[pi].clone();
+                    combined.absorb(&additions, &mut scratch);
                     combined.thin_to(self.config.max_curve_points);
+                    combined.finalize(first, &pending, &mut arena, &mut scratch);
                     sw.push(combined);
                 }
                 s[win(i, j)] = sw;

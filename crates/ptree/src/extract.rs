@@ -7,14 +7,17 @@ use merlin_tech::{BufferedTree, NodeId, NodeKind};
 use crate::dp::RouteStep;
 
 impl ProvStep for RouteStep {
-    fn push_children(&self, out: &mut Vec<ProvId>) {
-        match *self {
-            RouteStep::Sink { .. } => {}
-            RouteStep::Merge { left, right } => {
-                out.push(left);
-                out.push(right);
-            }
-            RouteStep::Extend { child, .. } => out.push(child),
+    fn map_children(self, mut f: impl FnMut(ProvId) -> ProvId) -> Self {
+        match self {
+            sink @ RouteStep::Sink { .. } => sink,
+            RouteStep::Merge { left, right } => RouteStep::Merge {
+                left: f(left),
+                right: f(right),
+            },
+            RouteStep::Extend { to, child } => RouteStep::Extend {
+                to,
+                child: f(child),
+            },
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The bottom-up insertion DP and tree reconstruction.
 
-use merlin_curves::{Curve, CurvePoint, ProvArena, ProvId};
+use merlin_curves::{Curve, CurvePoint, CurveScratch, ProvArena, ProvId};
 use merlin_geom::{manhattan, Point, Route};
 use merlin_tech::units::{ps_cmp, Cap, PsTime};
 use merlin_tech::{BufferedTree, Driver, NodeId, NodeKind, Technology};
@@ -216,6 +216,7 @@ impl<'a> VanGinneken<'a> {
                     clippy::cast_possible_truncation,
                     reason = "libraries have < 2^16 cells"
                 )]
+                // audit:allow(push-without-prune): `prune_with` below.
                 additions.push(CurvePoint::with_load(
                     buf.cin,
                     p.req - buf.delay_linear_ps(p.load),
@@ -229,8 +230,9 @@ impl<'a> VanGinneken<'a> {
                 ));
             }
         }
-        additions.prune();
-        out.absorb(&additions);
+        let mut scratch = CurveScratch::default();
+        additions.prune_with(&mut scratch);
+        out.absorb(&additions, &mut scratch);
         out
     }
 }

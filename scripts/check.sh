@@ -291,15 +291,17 @@ EOF
 }
 
 stage_perfbench() {
-  echo "== perfbench (benchmark suite + short solve-seq and batch-4sink runs) =="
+  echo "== perfbench (benchmark suite + short solve-seq, batch-4sink and daemon-open runs) =="
   # perfbench is its own cargo workspace on the library crates' public
   # API, so nothing else here builds it: run its tests, then one short
-  # seeded run of solve-seq and of batch-4sink. Their output checks make
-  # them exit non-zero if any solve is wrong; batch-4sink also puts its
-  # nets through run_batch and `merlin_cli batch --isolation process`
-  # and byte-compares the two reports.
+  # seeded run of each workload. Their output checks make them exit
+  # non-zero if any solve is wrong; batch-4sink also puts its nets
+  # through run_batch and `merlin_cli batch --isolation process` and
+  # byte-compares the two reports, and daemon-open, the one workload that
+  # runs the engine inside `merlin_cli serve`, hashes every job's tree
+  # against a verified re-solve.
   cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
-  for workload in solve-seq batch-4sink; do
+  for workload in solve-seq batch-4sink daemon-open; do
     cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
       --workload "$workload" --seed 1 --seconds 4 --trace 0 > "$SUPTMP/perfbench.txt" || {
       echo "perfbench: $workload run failed:" >&2
